@@ -29,9 +29,12 @@ fn start_server() -> Server {
 }
 
 fn start_server_with(extra_args: &[&str]) -> Server {
-    // Build a tiny model file first.
-    let graph = tmp("serve.txt");
-    let model = tmp("serve.csrp");
+    // Build a tiny model file first.  Tests run in parallel: each server
+    // gets its own files, or one test rewrites the model another loads.
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let id = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let graph = tmp(&format!("serve{id}.txt"));
+    let model = tmp(&format!("serve{id}.csrp"));
     std::fs::write(&graph, "0 1\n2 1\n4 1\n0 3\n4 3\n5 3\n3 0\n3 2\n3 5\n2 4\n5 4\n").unwrap();
     let st = Command::new(env!("CARGO_BIN_EXE_csrplus"))
         .args(["precompute", graph.to_str().unwrap(), "--rank", "3", "--out"])

@@ -17,7 +17,9 @@ fn tmp(name: &str) -> PathBuf {
 
 /// Builds a reordered model file and returns its path.
 fn build_model(reorder: &str, model_name: &str, threads: &str) -> PathBuf {
-    let graph = tmp("shard.txt");
+    // One graph file per model: tests run in parallel, and a shared one
+    // can be read while another test rewrites it.
+    let graph = tmp(&format!("{model_name}.txt"));
     let model = tmp(model_name);
     std::fs::write(&graph, "0 1\n2 1\n4 1\n0 3\n4 3\n5 3\n3 0\n3 2\n3 5\n2 4\n5 4\n").unwrap();
     let st = Command::new(env!("CARGO_BIN_EXE_csrplus"))

@@ -9,9 +9,11 @@
 //! unbatched path computes, so coalesced answers are **bitwise equal**
 //! to single-source ones.
 //!
-//! Flow per request: consult the [`ColumnCache`]; on a miss, enqueue the
-//! node and block on a reply channel.  A dedicated batcher thread fires
-//! when either `max_batch` requests are pending or the oldest has
+//! Flow per request: consult the [`ColumnCache`] for each distinct node;
+//! enqueue every miss at once and block on one reply channel until all
+//! have answered, so a multi-source request is one batch rather than
+//! `|Q|` round trips.  A dedicated batcher thread fires
+//! when either `max_batch` nodes are pending or the oldest has
 //! lingered for the configured window, deduplicates the node set, runs
 //! one [`CsrPlusModel::query_columns`] call, feeds the cache, and
 //! scatters `Arc` columns back to every waiter.
@@ -55,13 +57,16 @@ impl std::fmt::Display for ColumnError {
 
 struct Waiter {
     node: usize,
+    /// Where this node's column goes in the submitting request's reply.
+    slot: usize,
     /// `Some(t)`: evaluate at truncated rank `t` (pressure-degraded
     /// request); `None`: the full-rank path.
     rank: Option<usize>,
     /// The snapshot the request loaded — the model this waiter must be
     /// answered against, whatever gets published meanwhile.
     snapshot: Arc<Snapshot>,
-    reply: mpsc::Sender<Result<Column, ColumnError>>,
+    /// Shared by every waiter one request enqueued.
+    reply: mpsc::Sender<(usize, Result<Column, ColumnError>)>,
 }
 
 struct State {
@@ -209,9 +214,7 @@ impl Batcher {
     }
 
     /// [`Batcher::column_rank`] against an explicit, already-loaded
-    /// snapshot — the request-scoped entry point: the server loads the
-    /// handle once per request and passes the same snapshot here and to
-    /// the renderer, so the whole response belongs to one epoch.
+    /// snapshot: the one-node case of [`Batcher::columns_rank_at`].
     pub fn column_rank_at(
         &self,
         snapshot: Arc<Snapshot>,
@@ -219,36 +222,92 @@ impl Batcher {
         rank: Option<usize>,
         timeout: Duration,
     ) -> Result<Column, ColumnError> {
+        let mut columns = self.columns_rank_at(snapshot, &[node], rank, timeout)?;
+        Ok(columns.pop().expect("one column per node"))
+    }
+
+    /// The columns `[S]_{*,nodes}` (in `nodes` order) against an
+    /// explicit, already-loaded snapshot — the request-scoped entry
+    /// point: the server loads the handle once per request and passes
+    /// the same snapshot here and to the renderer, so the whole response
+    /// belongs to one epoch.
+    ///
+    /// Every node is bounds-checked before anything is enqueued.  Cache
+    /// hits are taken first; the distinct misses are enqueued together
+    /// under one lock with one wake, so a multi-source request becomes
+    /// one deduplicated multi-source evaluation (the paper's one pass
+    /// over `Z` for all of `Q`) instead of `|Q|` round trips, and every
+    /// reply is awaited against one deadline.
+    pub fn columns_rank_at(
+        &self,
+        snapshot: Arc<Snapshot>,
+        nodes: &[usize],
+        rank: Option<usize>,
+        timeout: Duration,
+    ) -> Result<Vec<Column>, ColumnError> {
+        // `None`: a budget too large to represent, i.e. wait indefinitely.
+        let deadline = Instant::now().checked_add(timeout);
         let model = snapshot.model();
-        let rank = rank.filter(|&t| t < model.rank());
-        if rank.is_none() {
-            if let Some(col) = self.shared.cache.get(node, snapshot.epoch()) {
-                return Ok(col);
-            }
-        }
         // Validate before enqueueing: one bad node must not poison a
         // whole coalesced batch.  Same error text as the direct path.
-        if node >= model.n() {
+        if let Some(&node) = nodes.iter().find(|&&node| node >= model.n()) {
             let e = csrplus_core::CoSimRankError::QueryOutOfBounds { node, n: model.n() };
             return Err(ColumnError::Failed(e.to_string()));
         }
-        let (reply, receiver) = mpsc::channel();
-        {
-            let mut state = self.shared.state.lock().expect("batcher state poisoned");
-            if state.shutdown {
-                return Err(ColumnError::ShuttingDown);
+        let rank = rank.filter(|&t| t < model.rank());
+        // `first[i]` is where `nodes[i]` first occurs: duplicates share
+        // the column answered at that position.
+        let first: Vec<usize> = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, node)| nodes[..i].iter().position(|n| n == node).unwrap_or(i))
+            .collect();
+        let mut slots: Vec<Option<Column>> = vec![None; nodes.len()];
+        let mut misses: Vec<usize> = Vec::new();
+        for i in (0..nodes.len()).filter(|&i| first[i] == i) {
+            // Truncated-rank columns are never cached, never served cached.
+            let hit = match rank {
+                None => self.shared.cache.get(nodes[i], snapshot.epoch()),
+                Some(_) => None,
+            };
+            match hit {
+                Some(column) => slots[i] = Some(column),
+                None => misses.push(i),
             }
-            if state.pending.is_empty() {
-                state.deadline = Some(Instant::now() + self.shared.effective_linger());
+        }
+        if !misses.is_empty() {
+            let (reply, receiver) = mpsc::channel();
+            {
+                let mut state = self.shared.state.lock().expect("batcher state poisoned");
+                if state.shutdown {
+                    return Err(ColumnError::ShuttingDown);
+                }
+                if state.pending.is_empty() {
+                    state.deadline = Some(Instant::now() + self.shared.effective_linger());
+                }
+                state.pending.extend(misses.iter().map(|&slot| Waiter {
+                    node: nodes[slot],
+                    slot,
+                    rank,
+                    snapshot: Arc::clone(&snapshot),
+                    reply: reply.clone(),
+                }));
             }
-            state.pending.push(Waiter { node, rank, snapshot, reply });
+            self.shared.wake.notify_one();
+            drop(reply);
+            for _ in &misses {
+                let wait =
+                    deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
+                match receiver.recv_timeout(wait) {
+                    Ok((slot, result)) => slots[slot] = Some(result?),
+                    Err(mpsc::RecvTimeoutError::Timeout) => return Err(ColumnError::Timeout),
+                    Err(mpsc::RecvTimeoutError::Disconnected) => {
+                        return Err(ColumnError::ShuttingDown)
+                    }
+                }
+            }
         }
-        self.shared.wake.notify_one();
-        match receiver.recv_timeout(timeout) {
-            Ok(result) => result,
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(ColumnError::Timeout),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(ColumnError::ShuttingDown),
-        }
+        Ok(first.iter().map(|&j| slots[j].clone().expect("every node answered")).collect())
     }
 
     /// Stops admitting requests, answers everything already pending, and
@@ -381,13 +440,13 @@ fn evaluate_group(
             }
             for (waiter, &i) in batch.iter().zip(&slot) {
                 // A send fails only if the requester already timed out.
-                let _ = waiter.reply.send(Ok(Arc::clone(&columns[i])));
+                let _ = waiter.reply.send((waiter.slot, Ok(Arc::clone(&columns[i]))));
             }
         }
         Err(e) => {
             let msg = e.to_string();
             for waiter in batch {
-                let _ = waiter.reply.send(Err(ColumnError::Failed(msg.clone())));
+                let _ = waiter.reply.send((waiter.slot, Err(ColumnError::Failed(msg.clone()))));
             }
         }
     }
@@ -504,6 +563,85 @@ mod tests {
         let (b, _metrics, _m) = batcher(4, Duration::from_micros(100), 0);
         b.begin_shutdown();
         assert_eq!(b.column(1, TIMEOUT).unwrap_err(), ColumnError::ShuttingDown);
+    }
+
+    /// A 40-node model, so one request can name many distinct nodes.
+    fn wide_batcher(cache_capacity: usize) -> (Batcher, Arc<Metrics>, Arc<CsrPlusModel>) {
+        let t = TransitionMatrix::from_graph(
+            &csrplus_graph::generators::erdos_renyi(40, 160, 7).unwrap(),
+        );
+        let m = Arc::new(CsrPlusModel::precompute(&t, &CsrPlusConfig::with_rank(4)).unwrap());
+        let metrics = Arc::new(Metrics::new());
+        let handle = Arc::new(SnapshotHandle::new(Arc::clone(&m)));
+        let cache = Arc::new(ColumnCache::new(cache_capacity, 2, Arc::clone(&metrics)));
+        let b = Batcher::new(handle, cache, Arc::clone(&metrics), 32, Duration::from_micros(200));
+        (b, metrics, m)
+    }
+
+    fn many(b: &Batcher, nodes: &[usize]) -> Result<Vec<Column>, ColumnError> {
+        b.columns_rank_at(b.shared.handle.load(), nodes, None, TIMEOUT)
+    }
+
+    fn evaluations(metrics: &Metrics) -> u64 {
+        metrics.model_evaluations.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn duplicate_nodes_in_one_request_are_evaluated_once() {
+        let (b, metrics, m) = wide_batcher(0);
+        let nodes = [5, 7, 5, 5, 7, 2];
+        let columns = many(&b, &nodes).unwrap();
+        assert_eq!(evaluations(&metrics), 1);
+        assert_eq!(metrics.batch_sizes.sum(), 3, "three distinct nodes");
+        assert_eq!(metrics.batched_requests.load(Ordering::Relaxed), 3);
+        for (&q, col) in nodes.iter().zip(&columns) {
+            assert_eq!(&col[..], &m.single_source(q).unwrap()[..], "node {q}");
+        }
+        assert!(Arc::ptr_eq(&columns[0], &columns[2]), "duplicates share one column");
+    }
+
+    #[test]
+    fn a_partly_cached_list_evaluates_only_its_misses() {
+        let (b, metrics, m) = wide_batcher(64);
+        many(&b, &[1, 2]).unwrap();
+        assert_eq!(evaluations(&metrics), 1);
+        let nodes = [4, 1, 6, 2];
+        let columns = many(&b, &nodes).unwrap();
+        assert_eq!(evaluations(&metrics), 2);
+        assert_eq!(metrics.batch_sizes.sum(), 2 + 2, "second pass held only 4 and 6");
+        assert_eq!(metrics.cache_hits.load(Ordering::Relaxed), 2);
+        for (&q, col) in nodes.iter().zip(&columns) {
+            assert_eq!(&col[..], &m.single_source(q).unwrap()[..], "node {q}");
+        }
+        // Fully cached: no evaluation at all.
+        many(&b, &[6, 4, 2, 1]).unwrap();
+        assert_eq!(evaluations(&metrics), 2);
+    }
+
+    #[test]
+    fn an_out_of_bounds_node_anywhere_fails_before_enqueueing() {
+        let (b, metrics, m) = wide_batcher(64);
+        for nodes in [&[40, 1, 2][..], &[1, 2, 99], &[1, usize::MAX, 2]] {
+            match many(&b, nodes) {
+                Err(ColumnError::Failed(msg)) => assert!(msg.contains("out of"), "{msg}"),
+                other => panic!("expected Failed for {nodes:?}, got {other:?}"),
+            }
+        }
+        assert_eq!(evaluations(&metrics), 0, "nothing was enqueued");
+        assert_eq!(metrics.batched_requests.load(Ordering::Relaxed), 0);
+        assert_eq!(metrics.cache_misses.load(Ordering::Relaxed), 0, "no cache lookups either");
+        // The batcher keeps serving.
+        let columns = many(&b, &[1, 2]).unwrap();
+        assert_eq!(&columns[1][..], &m.single_source(2).unwrap()[..]);
+        assert_eq!(evaluations(&metrics), 1);
+    }
+
+    #[test]
+    fn a_many_node_request_after_shutdown_is_refused() {
+        let (b, metrics, _m) = wide_batcher(64);
+        b.begin_shutdown();
+        assert_eq!(many(&b, &[1, 2]).unwrap_err(), ColumnError::ShuttingDown);
+        assert_eq!(metrics.batched_requests.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -165,6 +165,11 @@ impl Shard {
     /// when one is configured.
     fn insert(&mut self, node: usize, epoch: u64, column: Column) -> Inserted {
         if let Some(&idx) = self.map.get(&node) {
+            // A batch answered for an older snapshot can finish after one
+            // for a newer snapshot: keep the newer column.
+            if self.entries[idx].epoch > epoch {
+                return Inserted::Stored { evicted: false };
+            }
             self.entries[idx].column = column;
             self.entries[idx].epoch = epoch;
             self.entries[idx].stored_at = Instant::now();
@@ -427,6 +432,9 @@ mod tests {
         cache.insert(1, 1, col(11.0));
         assert_eq!(cache.get(1, 1).unwrap()[0], 11.0);
         assert_eq!(metrics.cache_evictions.load(Ordering::Relaxed), 0, "drain is not an eviction");
+        // A late batch for an older epoch does not displace the newer column.
+        cache.insert(1, 0, col(10.0));
+        assert_eq!(cache.get(1, 1).unwrap()[0], 11.0);
     }
 
     #[test]

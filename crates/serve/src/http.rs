@@ -3,6 +3,7 @@
 //! percent-decoding and duplicate-parameter rejection, and response
 //! writing.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 
 /// A parsed `GET` request target: path plus decoded query parameters.
@@ -136,7 +137,14 @@ pub fn read_request_with_body<R: Read>(stream: R) -> std::io::Result<RawRequest>
         }
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
+                // A length we cannot read would leave the body unread and
+                // frame it as the next request: refuse, like an oversize one.
+                content_length = value.trim().parse().map_err(|_| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("unparsable Content-Length {:?}", value.trim()),
+                    )
+                })?;
             }
         }
     }
@@ -191,16 +199,41 @@ pub fn reason(code: u16) -> &'static str {
     }
 }
 
+/// Bodies up to this size are sent in the same `write_all` as the
+/// header, so a small reply (every `/topk`) is one segment under
+/// `TCP_NODELAY`; larger ones go out as header then body, uncopied.
+const COALESCE_BODY_BYTES: usize = 16 << 10;
+
 /// Writes a complete `Connection: close` HTTP/1.1 response.
-pub fn write_response<W: Write>(mut stream: W, code: u16, body: &str) -> std::io::Result<()> {
-    // Prebuilt + one write_all: `write!` would issue a syscall per
-    // format fragment, scattering one response across many segments.
-    let response = format!(
-        "HTTP/1.1 {code} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+pub fn write_response<W: Write>(stream: W, code: u16, body: &str) -> std::io::Result<()> {
+    write_with_header(stream, code, "", body)
+}
+
+/// Writes the status line, the fixed headers plus `extra` (complete
+/// `Name: value\r\n` lines), and `body`.  The header is prebuilt:
+/// `write!` would issue a syscall per format fragment, scattering one
+/// response across many segments.
+fn write_with_header<W: Write>(
+    mut stream: W,
+    code: u16,
+    extra: &str,
+    body: &str,
+) -> std::io::Result<()> {
+    let coalesce = body.len() <= COALESCE_BODY_BYTES;
+    let mut head = String::with_capacity(128 + extra.len() + if coalesce { body.len() } else { 0 });
+    let _ = write!(
+        head,
+        "HTTP/1.1 {code} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{extra}Connection: close\r\n\r\n",
         reason(code),
         body.len()
     );
-    stream.write_all(response.as_bytes())?;
+    if coalesce {
+        head.push_str(body);
+        stream.write_all(head.as_bytes())?;
+    } else {
+        stream.write_all(head.as_bytes())?;
+        stream.write_all(body.as_bytes())?;
+    }
     stream.flush()
 }
 
@@ -213,19 +246,13 @@ pub fn write_error<W: Write>(stream: W, code: u16, msg: &str) -> std::io::Result
 /// [`write_error`] with a `Retry-After: <seconds>` header — the shed
 /// path's backpressure advice to well-behaved clients.
 pub fn write_error_retry_after<W: Write>(
-    mut stream: W,
+    stream: W,
     code: u16,
     msg: &str,
     retry_after_s: u64,
 ) -> std::io::Result<()> {
     let body = format!("{{\"error\":{}}}", json_string(msg));
-    let response = format!(
-        "HTTP/1.1 {code} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nRetry-After: {retry_after_s}\r\nConnection: close\r\n\r\n{body}",
-        reason(code),
-        body.len()
-    );
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
+    write_with_header(stream, code, &format!("Retry-After: {retry_after_s}\r\n"), &body)
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
@@ -326,6 +353,29 @@ mod tests {
         let req = read_request_with_body(&raw[..]).unwrap();
         assert_eq!(req.line, "GET /health HTTP/1.1\r\n");
         assert_eq!(req.body, "");
+    }
+
+    #[test]
+    fn unparsable_content_length_is_refused() {
+        for value in ["abc", "-1"] {
+            let raw = format!("POST /edges HTTP/1.1\r\nContent-Length: {value}\r\n\r\nbody");
+            let err = read_request_with_body(raw.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{value}");
+            assert!(err.to_string().contains(value), "{err}");
+        }
+    }
+
+    #[test]
+    fn large_bodies_are_written_whole_after_the_header() {
+        for len in [0, COALESCE_BODY_BYTES, COALESCE_BODY_BYTES + 1, 3 << 20] {
+            let body = "7".repeat(len);
+            let mut buf = Vec::new();
+            write_response(&mut buf, 200, &body).unwrap();
+            let expected = format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {len}\r\nConnection: close\r\n\r\n{body}"
+            );
+            assert!(buf == expected.as_bytes(), "len {len}");
+        }
     }
 
     #[test]

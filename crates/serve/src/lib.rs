@@ -12,8 +12,9 @@
 //! * [`pool`] — a worker thread pool with a **bounded admission queue**
 //!   (overload sheds with `503` instead of queueing unboundedly);
 //! * [`batcher`] — a **micro-batcher** that coalesces concurrently queued
-//!   single-node requests into one multi-source `[S]_{*,Q}` evaluation
-//!   and scatters the columns back to the waiting responders;
+//!   requests (a multi-node `/query` enqueues all its nodes at once) into
+//!   one multi-source `[S]_{*,Q}` evaluation and scatters the columns
+//!   back to the waiting responders;
 //! * [`cache`] — a **sharded LRU column cache** keyed by node id,
 //!   consulted before batching;
 //! * [`metrics`] — counters, per-route latency histograms and the batch

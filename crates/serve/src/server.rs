@@ -25,7 +25,6 @@ use crate::metrics::{Metrics, Route};
 use crate::pool::WorkerPool;
 use crate::render;
 use crate::snapshot::{Snapshot, SnapshotHandle};
-use crate::wire;
 use csrplus_core::dynamic::DynamicCsrPlus;
 use csrplus_core::CsrPlusModel;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -472,6 +471,15 @@ fn dispatch(
     (Some(route), result)
 }
 
+/// The HTTP status a failed column wait answers with.
+fn status(e: ColumnError) -> (u16, String) {
+    match e {
+        ColumnError::Timeout => (408, e.to_string()),
+        ColumnError::ShuttingDown => (503, e.to_string()),
+        ColumnError::Failed(msg) => (400, msg),
+    }
+}
+
 fn answer(
     ctx: &Ctx,
     snapshot: &Arc<Snapshot>,
@@ -495,17 +503,17 @@ fn answer(
     // The column wait shares the request budget with socket I/O.  In
     // shard mode this hands back the server's partial (lo..hi) column.
     // Evaluation is pinned to *this request's* snapshot, not whatever
-    // the handle points at by the time the batch runs.
-    let column = |node: usize, rank: Option<usize>| -> Result<Column, (u16, String)> {
+    // the handle points at by the time the batch runs.  A multi-node
+    // route submits all its nodes as one batch.
+    let columns = |nodes: &[usize], rank: Option<usize>| -> Result<Vec<Column>, (u16, String)> {
         let Engine::Local(batcher) = &ctx.engine else {
-            unreachable!("column() is only called on local engines")
+            unreachable!("columns() is only called on local engines")
         };
         let remaining = ctx.timeout.saturating_sub(start.elapsed());
-        batcher.column_rank_at(Arc::clone(snapshot), node, rank, remaining).map_err(|e| match e {
-            ColumnError::Timeout => (408, e.to_string()),
-            ColumnError::ShuttingDown => (503, e.to_string()),
-            ColumnError::Failed(msg) => (400, msg),
-        })
+        batcher.columns_rank_at(Arc::clone(snapshot), nodes, rank, remaining).map_err(status)
+    };
+    let column = |node: usize, rank: Option<usize>| -> Result<Column, (u16, String)> {
+        Ok(columns(&[node], rank)?.remove(0))
     };
     // Pressure-degraded rank.  Public routes opt in with
     // `degraded=allow` (server-chosen rank) and/or `max_rank=T` (client
@@ -535,12 +543,7 @@ fn answer(
     };
     let mark = |body: String| -> String {
         match degrade {
-            Some(t) => {
-                let mut body = body;
-                body.pop();
-                body.push_str(&format!(",\"served_rank\":{t}}}"));
-                body
-            }
+            Some(t) => render::served_rank(body, t),
             None => body,
         }
     };
@@ -593,20 +596,18 @@ fn answer(
                     (400, e)
                 }
             })?;
-            Ok(format!(
-                "{{\"applied\":{},\"ignored\":{},\"epoch\":{}}}",
-                out.applied, out.ignored, out.epoch
-            ))
+            Ok(render::edges(out.applied, out.ignored, out.epoch))
         }
         Route::Metrics => {
-            let mut body = ctx.metrics.render_json();
-            body.pop();
-            body.push_str(&format!(",\"cache_shards\":{}", ctx.cache.render_stats_json()));
-            if let Engine::Sharded(coord) = &ctx.engine {
-                body.push_str(&format!(",\"coordinator\":{}", coord.metrics.render_json()));
-            }
-            body.push('}');
-            Ok(body)
+            let coordinator = match &ctx.engine {
+                Engine::Sharded(coord) => Some(coord.metrics.render_json()),
+                Engine::Local(_) => None,
+            };
+            Ok(render::metrics(
+                ctx.metrics.render_json(),
+                &ctx.cache.render_stats_json(),
+                coordinator.as_deref(),
+            ))
         }
         Route::Similarity => {
             let a = parse_usize(target.require("a")?, "a")?;
@@ -644,41 +645,26 @@ fn answer(
                 let views: Vec<&[f64]> = columns.iter().map(|c| &c[..]).collect();
                 return Ok(mark(render::query(&nodes, &views)));
             }
-            let columns: Vec<Column> =
-                nodes.iter().map(|&q| column(q, degrade)).collect::<Result<_, _>>()?;
+            let columns = columns(&nodes, degrade)?;
             let views: Vec<&[f64]> = columns.iter().map(|c| &c[..]).collect();
             Ok(mark(render::query(&nodes, &views)))
         }
-        Route::ShardRange => Ok(format!("{{\"lo\":{lo},\"hi\":{hi},\"n\":{}}}", model.n())),
+        Route::ShardRange => Ok(render::shard_range(lo, hi, model.n())),
         Route::ShardColumns => {
             let nodes = parse_nodes(target)?;
-            let columns: Vec<Column> =
-                nodes.iter().map(|&q| column(q, shard_rank)).collect::<Result<_, _>>()?;
+            let columns = columns(&nodes, shard_rank)?;
             // Shard batchers hand back internal-row slices already; a
             // plain server's batcher columns are in original-id space
             // and must be re-gathered into internal order (what the
             // wire protocol speaks) for the 1-shard degenerate case.
-            let cols: Vec<String> = columns
-                .iter()
-                .map(|c| {
-                    let hex = if ctx.shard_rows.is_some() {
-                        wire::encode_f64s(c)
-                    } else {
-                        let mut hex = String::with_capacity(c.len() * 16);
-                        for row in lo..hi {
-                            wire::encode_f64_into(c[model.original_id(row)], &mut hex);
-                        }
-                        hex
-                    };
-                    format!("\"{hex}\"")
-                })
-                .collect();
-            let q: Vec<String> = nodes.iter().map(usize::to_string).collect();
-            Ok(format!(
-                "{{\"lo\":{lo},\"hi\":{hi},\"queries\":[{}],\"cols\":[{}]}}",
-                q.join(","),
-                cols.join(",")
-            ))
+            let sliced = ctx.shard_rows.is_some();
+            Ok(render::shard_columns(lo, hi, &nodes, &columns, |col, row| {
+                if sliced {
+                    col[row - lo]
+                } else {
+                    col[model.original_id(row)]
+                }
+            }))
         }
         Route::ShardTopK => {
             let node = parse_usize(target.require("node")?, "node")?;
@@ -703,11 +689,7 @@ fn answer(
                     .filter(|&(id, _)| id != node),
                 k,
             );
-            let results: Vec<String> = scored
-                .iter()
-                .map(|&(id, s)| format!("\"{id}:{}\"", wire::encode_f64s(&[s])))
-                .collect();
-            Ok(format!("{{\"node\":{node},\"results\":[{}]}}", results.join(",")))
+            Ok(render::shard_topk(node, &scored))
         }
     }
 }
@@ -715,6 +697,7 @@ fn answer(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire;
     use csrplus_core::CsrPlusConfig;
     use csrplus_graph::{generators::figure1_graph, TransitionMatrix};
     use std::io::{Read as _, Write as _};
@@ -894,6 +877,50 @@ mod tests {
         for s in shards {
             s.shutdown();
         }
+    }
+
+    #[test]
+    fn column_errors_map_to_timeout_unavailable_and_bad_request() {
+        assert_eq!(status(ColumnError::Timeout).0, 408);
+        assert_eq!(status(ColumnError::ShuttingDown).0, 503);
+        assert_eq!(status(ColumnError::Failed("node 9".into())), (400, "node 9".to_string()));
+    }
+
+    #[test]
+    fn a_multi_source_query_is_one_batch_and_a_stalled_one_times_out() {
+        let t = TransitionMatrix::from_graph(
+            &csrplus_graph::generators::erdos_renyi(40, 160, 7).unwrap(),
+        );
+        let m = CsrPlusModel::precompute(&t, &CsrPlusConfig::with_rank(4)).unwrap();
+        let nodes = [3usize, 9, 14, 20, 27, 31, 35, 39];
+        let list: Vec<String> = nodes.iter().map(usize::to_string).collect();
+        let path = format!("/query?nodes={}", list.join("%2C"));
+        let mut scratch = csrplus_core::DenseMatrix::zeros(0, 0);
+        let columns = m.query_columns_into(&nodes, &mut scratch).unwrap();
+        let views: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+        let expected = render::query(&nodes, &views);
+
+        let handle = Server::start(m.clone(), 0, ServeConfig::default()).unwrap();
+        let (code, body) = get(handle.addr(), &path);
+        assert_eq!((code, body), (200, expected));
+        let metrics = handle.metrics();
+        assert_eq!(metrics.model_evaluations.load(Ordering::Relaxed), 1, "one pass for all 8");
+        assert_eq!(metrics.batch_sizes.count(), 1);
+        assert_eq!(metrics.batch_sizes.sum(), 8);
+        handle.shutdown();
+
+        // A batch that never fires (endless linger, never full) answers
+        // 408 at the request budget rather than hanging the worker.
+        let config = ServeConfig {
+            linger: Duration::from_secs(3600),
+            max_batch: 64,
+            timeout: Duration::from_millis(200),
+            ..ServeConfig::default()
+        };
+        let handle = Server::start(m, 0, config).unwrap();
+        let (code, body) = get(handle.addr(), &path);
+        assert_eq!(code, 408, "{body}");
+        handle.shutdown();
     }
 
     #[test]
