@@ -920,13 +920,19 @@ impl CsrPlusModel {
         let uq = self.u.row_ref(q_internal);
         let uq0 = uq.first();
         let uq_rest = uq.tail_norm2();
-        // Per-query candidate order: descending split bound.  O(n log n)
-        // in cheap O(1)-per-node bounds, traded for skipping O(r) exact
-        // dot products on everything past the break point.  The bound
-        // map fill is embarrassingly parallel (one slot per node), so it
-        // runs on the shared pool; the early-break scan below stays
-        // sequential by construction.
+        // Per-query candidate order: descending split bound, in cheap
+        // O(1)-per-node bounds, traded for skipping O(r) exact dot
+        // products on everything past the break point.  The bound map
+        // fill is embarrassingly parallel (one slot per node), so it runs
+        // on the shared pool; the early-break scan below stays sequential
+        // by construction.
+        //
+        // Each bound carries a rounding slack `γ·c·(|z0·uq0| + zrest·uq_rest)`,
+        // `γ = (r + 2)·2⁻⁵²`, covering the error of the computed dot
+        // product and of the bound itself, so the early break never skips
+        // a candidate whose *computed* score would enter the top `k`.
         let rows = hi - lo;
+        let gamma = (uq.len() as f64 + 2.0) * f64::EPSILON;
         let mut order: Vec<(f64, u32)> = vec![(0.0, 0); rows];
         let chunk = csrplus_par::chunk_len(rows, 4, MIN_ONLINE_WORK);
         let z_split = &self.z_split;
@@ -935,35 +941,55 @@ impl CsrPlusModel {
             for (off, slot) in out.iter_mut().enumerate() {
                 let x = base + off;
                 let (z0, zrest) = z_split[x];
-                *slot = (c * (z0 * uq0 + zrest * uq_rest), x as u32);
+                let (lead, tail) = (z0 * uq0, zrest * uq_rest);
+                *slot = (c * (lead + tail + gamma * (lead.abs() + tail)), x as u32);
             }
         });
-        order.sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+        // The scan usually breaks early, so the order is only ever built
+        // as far as it gets: each step selects the next-best block out of
+        // the rest (O(rest)), sorts just that block, and quadruples the
+        // block size for the next step (`k` is caller-controlled, hence
+        // the saturating arithmetic).
+        let descending = |a: &(f64, u32), b: &(f64, u32)| b.0.total_cmp(&a.0);
         let mut best: Vec<(usize, f64)> = Vec::with_capacity(k + 1);
         let mut kth_score = f64::NEG_INFINITY;
         let mut scanned = 0usize;
-        for &(bound, x) in &order {
-            let x = x as usize;
-            if best.len() == k && bound < kth_score {
-                break; // no remaining candidate can beat the k-th best
+        let (mut done, mut block) = (0, k.saturating_mul(4).max(256));
+        'scan: while done < rows {
+            let end = rows.min(done.saturating_add(block));
+            let rest = &mut order[done..];
+            if end < rows {
+                rest.select_nth_unstable_by(end - done - 1, descending);
             }
-            if x == q_internal {
-                continue; // top_k excludes the query itself
+            rest[..end - done].sort_unstable_by(descending);
+            for &(bound, x) in &order[done..end] {
+                let x = x as usize;
+                if best.len() == k && bound < kth_score {
+                    break 'scan; // no remaining candidate can beat the k-th best
+                }
+                if x == q_internal {
+                    continue; // top_k excludes the query itself
+                }
+                scanned += 1;
+                let score = c * self.z.row_ref(x).dot(uq);
+                // `>=`, not `>`: an equal score can still displace the
+                // current k-th best on the original-id tie-break, so ties
+                // at the threshold must enter the candidate set for the
+                // result to be independent of the (bound-driven) scan
+                // order.
+                if best.len() < k || score >= kth_score {
+                    best.push((self.original_id(x), score));
+                    best.sort_by(|a, b| {
+                        b.1.partial_cmp(&a.1)
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                            .then(a.0.cmp(&b.0))
+                    });
+                    best.truncate(k);
+                    kth_score = if best.len() == k { best[k - 1].1 } else { f64::NEG_INFINITY };
+                }
             }
-            scanned += 1;
-            let score = c * self.z.row_ref(x).dot(uq);
-            // `>=`, not `>`: an equal score can still displace the
-            // current k-th best on the original-id tie-break, so ties at
-            // the threshold must enter the candidate set for the result
-            // to be independent of the (bound-driven) scan order.
-            if best.len() < k || score >= kth_score {
-                best.push((self.original_id(x), score));
-                best.sort_by(|a, b| {
-                    b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-                });
-                best.truncate(k);
-                kth_score = if best.len() == k { best[k - 1].1 } else { f64::NEG_INFINITY };
-            }
+            done = end;
+            block = block.saturating_mul(4);
         }
         Ok((best, scanned))
     }
@@ -1483,12 +1509,39 @@ mod tests {
                 assert_eq!(naive.len(), pruned.len(), "q={q} k={k}");
                 for (a, b) in naive.iter().zip(pruned.iter()) {
                     assert_eq!(a.0, b.0, "q={q} k={k}: {naive:?} vs {pruned:?}");
-                    assert!((a.1 - b.1).abs() < 1e-12);
+                    assert_eq!(
+                        a.1.to_bits(),
+                        b.1.to_bits(),
+                        "q={q} k={k}: {naive:?} vs {pruned:?}"
+                    );
                 }
             }
         }
         assert!(m.top_k_pruned(9, 3).is_err());
         assert!(m.top_k_pruned(0, 0).unwrap().is_empty());
+    }
+
+    /// The pruned scan builds its candidate order a block at a time (256
+    /// candidates, then 4× more per step); on a larger graph the scan
+    /// crosses block boundaries and must still return the naive answer,
+    /// bit for bit.
+    #[test]
+    fn pruned_top_k_matches_naive_across_selection_blocks() {
+        let g = csrplus_graph::generators::erdos_renyi(1500, 6000, 5).unwrap();
+        let cfg = CsrPlusConfig { rank: 6, ..Default::default() };
+        let m = CsrPlusModel::precompute(&TransitionMatrix::from_graph(&g), &cfg).unwrap();
+        let bits = |top: Vec<(usize, f64)>| -> Vec<(usize, u64)> {
+            top.into_iter().map(|(i, s)| (i, s.to_bits())).collect()
+        };
+        let mut widest = 0;
+        for q in [0, 7, 700, 1499] {
+            for k in [1, 10, 300, 1500] {
+                let (pruned, scanned) = m.top_k_pruned_with_stats(q, k).unwrap();
+                assert_eq!(bits(pruned), bits(m.top_k(q, k).unwrap()), "q={q} k={k}");
+                widest = widest.max(scanned);
+            }
+        }
+        assert!(widest > 256, "no scan left the first block (widest {widest})");
     }
 
     /// The fig-1 model relabeled under `order[internal] = original`:

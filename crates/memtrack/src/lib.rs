@@ -29,6 +29,7 @@ pub mod model;
 pub use budget::{MemoryBudget, MemoryLimitError};
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Live heap bytes allocated through [`TrackingAllocator`].
@@ -39,6 +40,21 @@ static PEAK: AtomicUsize = AtomicUsize::new(0);
 /// since process start — the denominator of the zero-copy regression
 /// tests: byte peaks can hide allocator churn, the event count cannot.
 static ALLOC_COUNT: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// [`ALLOC_COUNT`]'s events made by the current thread alone, so a
+    /// count taken on one thread is immune to other threads (a test
+    /// harness spawning the next test, say).  Const-initialised with no
+    /// destructor: touching it from the allocator never allocates.
+    static THREAD_ALLOC_COUNT: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts one allocation event, globally and for the current thread.
+fn count_event() {
+    ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
+    // `try_with` only fails while the thread's locals are torn down.
+    let _ = THREAD_ALLOC_COUNT.try_with(|c| c.set(c.get() + 1));
+}
 
 /// A [`GlobalAlloc`] wrapper around the system allocator that maintains
 /// live/peak byte counters.
@@ -56,7 +72,7 @@ unsafe impl GlobalAlloc for TrackingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
-            ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
+            count_event();
             let cur = CURRENT.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
             PEAK.fetch_max(cur, Ordering::Relaxed);
         }
@@ -75,7 +91,7 @@ unsafe impl GlobalAlloc for TrackingAllocator {
             if new_size > old {
                 // A growing realloc may move the block — count it as an
                 // allocation event (shrinks stay in place and are free).
-                ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
+                count_event();
             }
             if new_size >= old {
                 let cur = CURRENT.fetch_add(new_size - old, Ordering::Relaxed) + (new_size - old);
@@ -146,11 +162,16 @@ impl CountScope {
 }
 
 /// Runs `f`, returning its result together with the number of allocation
-/// events the call performed (0 without the tracking allocator installed).
+/// events the call performed on the calling thread (0 without the
+/// tracking allocator installed).  Other threads' allocations in the
+/// meantime are not counted — neither unrelated ones nor work `f` hands
+/// to a pool, so pin `csrplus_par` to one thread for an exact count.
 pub fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let scope = CountScope::start();
+    let events = || THREAD_ALLOC_COUNT.with(Cell::get);
+    let baseline = events();
     let out = f();
-    (out, scope.finish())
+    let count = events().saturating_sub(baseline);
+    (out, count)
 }
 
 /// RAII scope measuring the *additional* peak heap consumed inside it.

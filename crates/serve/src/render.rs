@@ -1,93 +1,119 @@
 //! JSON response bodies, shared by the pooled and legacy servers so both
 //! paths produce byte-identical output for identical scores.
 //!
-//! Every body is streamed front to back into one reserved [`String`] by
-//! one small private JSON writer.  Numbers go through the same `Display`
-//! impls `format!` uses, so the bytes equal those of the `format!`/`join`
-//! renderers kept as the `#[cfg(test)]` oracle below, which a proptest
-//! compares against.
+//! Every body is streamed front to back into one reserved buffer by one
+//! small private JSON writer.  Integers go through their `Display` impls;
+//! scores go through [`f64fmt`], a Ryū shortest round-trip writer whose
+//! output is byte-identical to `f64`'s `Display` (`format!("{v}")`) at
+//! well under half of `core::fmt`'s cost per value — and formatting
+//! scores is most of what rendering a `/query` body costs.  Its tests
+//! compare it with `format!("{v}")` on random bit patterns, every power
+//! of two, exact decimal ties, integers, subnormals and real model
+//! columns (and an ignored release-mode sweep of 10⁸ more), and a
+//! proptest below checks every body against the `format!`/`join`
+//! renderers kept as the `#[cfg(test)]` oracle.
+
+mod f64fmt;
 
 use std::cmp::Ordering;
-use std::fmt::{Display, Write as _};
+use std::fmt::Display;
+use std::io::Write as _;
+
+/// The integers a body holds: node ids, counts, epochs.
+trait Integer: Display {}
+impl Integer for usize {}
+impl Integer for u64 {}
 
 /// One JSON body written front to back into a single buffer.
 ///
 /// The only structural rule is the separator: before any key, value or
 /// container, a comma is written unless the buffer ends in `{`, `[` or
 /// `:` — so the same calls write object fields and array items.
-struct Json(String);
+///
+/// The buffer is bytes, not a `String`, so scores append their ASCII
+/// digits with no per-value UTF-8 check; [`Json::finish`] checks the
+/// whole body once.
+struct Json(Vec<u8>);
 
 impl Json {
     /// Starts an object body with `capacity` bytes reserved.
     fn object(capacity: usize) -> Json {
-        let mut out = String::with_capacity(capacity);
-        out.push('{');
+        let mut out = Vec::with_capacity(capacity);
+        out.push(b'{');
         Json(out)
     }
 
     /// Reopens a finished object body so more fields can follow.
-    fn reopen(mut body: String) -> Json {
+    fn reopen(body: String) -> Json {
         debug_assert!(body.ends_with('}'), "field tagging expects a JSON object body");
+        let mut body = body.into_bytes();
         body.pop();
         Json(body)
     }
 
     fn sep(&mut self) {
-        if !matches!(self.0.as_bytes().last(), Some(b'{' | b'[' | b':')) {
-            self.0.push(',');
+        if !matches!(self.0.last(), Some(b'{' | b'[' | b':')) {
+            self.0.push(b',');
         }
     }
 
     /// Writes `"name":`; the next value call fills it.
     fn key(&mut self, name: &str) -> &mut Json {
         self.sep();
-        self.0.push('"');
-        self.0.push_str(name);
-        self.0.push_str("\":");
+        self.0.push(b'"');
+        self.0.extend_from_slice(name.as_bytes());
+        self.0.extend_from_slice(b"\":");
         self
     }
 
-    /// Writes one value through its `Display` impl.
-    fn value(&mut self, v: impl Display) -> &mut Json {
+    /// Writes one integer through its `Display` impl.
+    fn value(&mut self, v: impl Integer) -> &mut Json {
         self.sep();
         let _ = write!(self.0, "{v}");
+        self
+    }
+
+    /// Writes one score exactly as `format!("{v}")` would.
+    fn score(&mut self, v: f64) -> &mut Json {
+        self.sep();
+        f64fmt::write_f64(&mut self.0, v);
         self
     }
 
     /// Writes an already-rendered JSON fragment as one value.
     fn raw(&mut self, fragment: &str) -> &mut Json {
         self.sep();
-        self.0.push_str(fragment);
+        self.0.extend_from_slice(fragment.as_bytes());
         self
     }
 
     /// Writes `"…"` around whatever `fill` appends (no escaping: callers
     /// write hex digits, ids and colons only).
-    fn string_with(&mut self, fill: impl FnOnce(&mut String)) -> &mut Json {
+    fn string_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> &mut Json {
         self.sep();
-        self.0.push('"');
+        self.0.push(b'"');
         fill(&mut self.0);
-        self.0.push('"');
+        self.0.push(b'"');
         self
     }
 
     /// Opens an array (`[`) or object (`{`).
-    fn open(&mut self, bracket: char) -> &mut Json {
+    fn open(&mut self, bracket: u8) -> &mut Json {
         self.sep();
         self.0.push(bracket);
         self
     }
 
     /// Closes the innermost container with `]` or `}`.
-    fn close(&mut self, bracket: char) -> &mut Json {
+    fn close(&mut self, bracket: u8) -> &mut Json {
         self.0.push(bracket);
         self
     }
 
     /// Closes the body's object and hands the buffer back.
     fn finish(mut self) -> String {
-        self.0.push('}');
-        self.0
+        self.0.push(b'}');
+        String::from_utf8(self.0).expect("bodies are written from `str`s and ASCII digits")
     }
 }
 
@@ -101,18 +127,18 @@ pub fn health(nodes: usize, rank: usize) -> String {
 /// `GET /similarity` body.
 pub fn similarity(a: usize, b: usize, s: f64) -> String {
     let mut out = Json::object(64);
-    out.key("a").value(a).key("b").value(b).key("similarity").value(s);
+    out.key("a").value(a).key("b").value(b).key("similarity").score(s);
     out.finish()
 }
 
 /// `GET /topk` body.
 pub fn topk(node: usize, results: &[(usize, f64)]) -> String {
     let mut out = Json::object(32 + results.len() * 48);
-    out.key("node").value(node).key("results").open('[');
+    out.key("node").value(node).key("results").open(b'[');
     for &(i, s) in results {
-        out.open('{').key("node").value(i).key("score").value(s).close('}');
+        out.open(b'{').key("node").value(i).key("score").score(s).close(b'}');
     }
-    out.close(']');
+    out.close(b']');
     out.finish()
 }
 
@@ -128,19 +154,19 @@ pub fn query(nodes: &[usize], columns: &[&[f64]]) -> String {
     let values: usize = columns.iter().map(|c| c.len()).sum();
     // The slack keeps an epoch / served-rank tag from reallocating.
     let mut out = Json::object(64 + nodes.len() * 24 + values * SCORE_BYTES);
-    out.key("queries").open('[');
+    out.key("queries").open(b'[');
     for &q in nodes {
         out.value(q);
     }
-    out.close(']').key("columns").open('[');
+    out.close(b']').key("columns").open(b'[');
     for col in columns {
-        out.open('[');
+        out.open(b'[');
         for &v in *col {
-            out.value(v);
+            out.score(v);
         }
-        out.close(']');
+        out.close(b']');
     }
-    out.close(']');
+    out.close(b']');
     out.finish()
 }
 
@@ -199,11 +225,11 @@ pub fn shard_columns<C: AsRef<[f64]>>(
     value: impl Fn(&[f64], usize) -> f64,
 ) -> String {
     let mut out = Json::object(64 + nodes.len() * 24 + columns.len() * ((hi - lo) * 16 + 3));
-    out.key("lo").value(lo).key("hi").value(hi).key("queries").open('[');
+    out.key("lo").value(lo).key("hi").value(hi).key("queries").open(b'[');
     for &q in nodes {
         out.value(q);
     }
-    out.close(']').key("cols").open('[');
+    out.close(b']').key("cols").open(b'[');
     for col in columns {
         out.string_with(|hex| {
             for row in lo..hi {
@@ -211,21 +237,21 @@ pub fn shard_columns<C: AsRef<[f64]>>(
             }
         });
     }
-    out.close(']');
+    out.close(b']');
     out.finish()
 }
 
 /// `GET /shard/topk` body: `"id:hex"` candidates in ranked order.
 pub fn shard_topk(node: usize, results: &[(usize, f64)]) -> String {
     let mut out = Json::object(32 + results.len() * 32);
-    out.key("node").value(node).key("results").open('[');
+    out.key("node").value(node).key("results").open(b'[');
     for &(id, s) in results {
         out.string_with(|item| {
             let _ = write!(item, "{id}:");
             crate::wire::encode_f64_into(s, item);
         });
     }
-    out.close(']');
+    out.close(b']');
     out.finish()
 }
 
@@ -462,14 +488,18 @@ mod tests {
         0.0001935017039130681,
     ];
 
-    /// A score: a special value, a random bit pattern, or a value on the
-    /// unit interval like the ones a real column holds.
+    /// A score: a special value, a random bit pattern, a value on the
+    /// unit interval like the ones a real column holds, a power of two, or
+    /// a quarter-odd value in `[2^50, 2^51)` — an exact tie between two
+    /// shortest decimals, which `Display` rounds up.
     fn score() -> impl Strategy<Value = f64> {
-        (0usize..3, 0usize..SPECIAL.len(), 0u64..=u64::MAX, 0.0f64..1.0).prop_map(
+        (0usize..5, 0usize..SPECIAL.len(), 0u64..=u64::MAX, 0.0f64..1.0).prop_map(
             |(pick, i, bits, unit)| match pick {
                 0 => SPECIAL[i],
                 1 => f64::from_bits(bits),
-                _ => unit,
+                2 => unit,
+                3 => f64::from_bits(bits & (0xfff << 52)),
+                _ => ((1u64 << 50) | (bits >> 14)) as f64 + [0.25, 0.75][i % 2],
             },
         )
     }

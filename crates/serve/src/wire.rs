@@ -14,16 +14,15 @@ use std::time::Duration;
 
 /// Encodes a slice of f64 as concatenated 16-digit hex bit patterns.
 pub fn encode_f64s(values: &[f64]) -> String {
-    let mut out = String::with_capacity(values.len() * 16);
+    let mut out = Vec::with_capacity(values.len() * 16);
     for &v in values {
         encode_f64_into(v, &mut out);
     }
-    out
+    String::from_utf8(out).expect("hex digits are ASCII")
 }
 
 /// Appends one f64 as 16 hex digits.
-pub fn encode_f64_into(v: f64, out: &mut String) {
-    use std::fmt::Write as _;
+pub fn encode_f64_into(v: f64, out: &mut Vec<u8>) {
     let _ = write!(out, "{:016x}", v.to_bits());
 }
 

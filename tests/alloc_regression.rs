@@ -17,9 +17,22 @@ static ALLOC: csrplus_memtrack::TrackingAllocator = csrplus_memtrack::TrackingAl
 use csrplus_core::{CsrPlusConfig, CsrPlusModel, DenseMatrix};
 use csrplus_graph::{generators::figure1_graph, TransitionMatrix};
 use csrplus_memtrack::count_allocations;
+use std::sync::{Mutex, MutexGuard};
+
+/// The allocation counters and the `csrplus_par` thread cap are
+/// process-global, and libtest runs tests concurrently: each test holds
+/// this lock throughout, so no other test allocates inside its scopes.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // The guarded value is `()`, so a test that panicked while holding
+    // the lock left nothing inconsistent behind.
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 #[test]
 fn precompute_and_query_allocate_less_than_seed() {
+    let _serial = serial();
     // Single-threaded: the serial in-line path of `csrplus_par` performs
     // no pool hand-off, so counts are exact and deterministic.
     let prior = csrplus_par::threads();
@@ -72,6 +85,7 @@ fn precompute_and_query_allocate_less_than_seed() {
 fn thin_qr_peak_scratch_stays_within_two_panels() {
     use csrplus_linalg::qr::thin_qr;
     use csrplus_memtrack::{measure_peak, model, MemoryBudget};
+    let _serial = serial();
 
     let prior = csrplus_par::threads();
     csrplus_par::set_threads(1);
@@ -97,6 +111,7 @@ fn thin_qr_peak_scratch_stays_within_two_panels() {
 #[test]
 fn save_model_streams_with_constant_allocations() {
     use csrplus_core::persist::write_model;
+    let _serial = serial();
 
     fn synthetic(n: usize, r: usize) -> CsrPlusModel {
         let seq = |len: usize| (0..len).map(|i| 0.5 + (i % 7) as f64 * 0.125).collect::<Vec<_>>();
