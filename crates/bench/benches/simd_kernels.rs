@@ -20,7 +20,7 @@
 //! Run with `cargo bench -p csrplus-bench --bench simd_kernels`.
 
 use csrplus_core::metrics::avg_diff;
-use csrplus_core::{set_storage_precision, CsrPlusConfig, CsrPlusModel, Precision};
+use csrplus_core::{set_storage_precision, CsrPlusConfig, CsrPlusModel, Precision, Query};
 use csrplus_graph::generators::erdos_renyi::erdos_renyi;
 use csrplus_graph::TransitionMatrix;
 use csrplus_linalg::{
@@ -315,24 +315,25 @@ fn main() {
         let m32 = CsrPlusModel::precompute(&transition, &config).expect("precompute succeeds");
         set_storage_precision(Precision::F64);
 
+        let plan = Query::new(&queries);
         let mut scratch = DenseMatrix::zeros(0, 0);
         simd::set_enabled(true);
-        m64.multi_source_into(&queries, &mut scratch).expect("in-bounds queries");
+        m64.evaluate_into(&plan, &mut scratch).expect("in-bounds queries");
         let (t64, ()) = best_of(|| {
-            m64.multi_source_into(&queries, &mut scratch).expect("in-bounds queries");
+            m64.evaluate_into(&plan, &mut scratch).expect("in-bounds queries");
         });
         let s64 = scratch.clone();
         simd::set_enabled(false);
-        m64.multi_source_into(&queries, &mut scratch).expect("in-bounds queries");
+        m64.evaluate_into(&plan, &mut scratch).expect("in-bounds queries");
         let bw64 = s64.as_slice() == scratch.as_slice();
         assert!(bw64, "multi_source f64: scalar and SIMD disagree");
         simd::set_enabled(true);
         let (t32, ()) = best_of(|| {
-            m32.multi_source_into(&queries, &mut scratch).expect("in-bounds queries");
+            m32.evaluate_into(&plan, &mut scratch).expect("in-bounds queries");
         });
         let s32 = scratch.clone();
         simd::set_enabled(false);
-        m32.multi_source_into(&queries, &mut scratch).expect("in-bounds queries");
+        m32.evaluate_into(&plan, &mut scratch).expect("in-bounds queries");
         let bw32 = s32.as_slice() == scratch.as_slice();
         assert!(bw32, "multi_source f32: scalar and SIMD disagree");
         simd::set_enabled(true);

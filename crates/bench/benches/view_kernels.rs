@@ -25,7 +25,7 @@
 #[global_allocator]
 static ALLOC: csrplus_memtrack::TrackingAllocator = csrplus_memtrack::TrackingAllocator;
 
-use csrplus_core::{CsrPlusConfig, CsrPlusModel};
+use csrplus_core::{CsrPlusConfig, CsrPlusModel, Query};
 use csrplus_graph::generators::erdos_renyi::erdos_renyi;
 use csrplus_graph::TransitionMatrix;
 use csrplus_linalg::qr::thin_qr;
@@ -166,9 +166,9 @@ fn main() {
     // --- multi-source query: allocate-per-call vs warm `_into` scratch.
     let (owned, o_out) = measure(|| model.multi_source(&queries).expect("in-bounds queries"));
     let mut scratch = DenseMatrix::zeros(0, 0);
-    model.multi_source_into(&queries, &mut scratch).expect("in-bounds queries");
+    model.evaluate_into(&Query::new(&queries), &mut scratch).expect("in-bounds queries");
     let (view, _) = measure(|| {
-        model.multi_source_into(&queries, &mut scratch).expect("in-bounds queries");
+        model.evaluate_into(&Query::new(&queries), &mut scratch).expect("in-bounds queries");
     });
     assert_eq!(o_out.as_slice(), scratch.as_slice(), "multi_source: into path diverged");
     rows.push(Row { name: "multi_source_32q", owned, view });

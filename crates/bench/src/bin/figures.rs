@@ -569,8 +569,7 @@ fn ablation_pruning(opts: &Options) {
         let queries = w.queries(50, QUERY_SEED);
         let mut total = 0usize;
         for &q in &queries {
-            let (_, scanned) = model.top_k_pruned_with_stats(q, 10).expect("top-k");
-            total += scanned;
+            total += model.top_k_scan(q, 10, None).expect("top-k").scanned;
         }
         let avg = total as f64 / queries.len() as f64;
         let frac = avg / w.n() as f64;

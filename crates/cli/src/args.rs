@@ -18,7 +18,7 @@ usage:
   csrplus join       <model.csrp> --threshold T [--limit N]
   csrplus serve      <model.csrp> [--port P] [--workers N] [--batch B] [--linger-us U]
                      [--cache COLS] [--cache-ttl-ms MS] [--timeout-ms MS]
-                     [--max-requests N] [--legacy]
+                     [--max-requests N]
                      [--cache-admission] [--adaptive-linger]
                      [--degrade-rank R [--degrade-watermark D]]
                      [--ingest <graph.txt> [--ingest-refresh N]
@@ -99,7 +99,7 @@ pub enum Command {
         /// Print at most this many pairs.
         limit: usize,
     },
-    /// Serve the model over HTTP (pooled/batched unless `--legacy`).
+    /// Serve the model over HTTP (pooled, batched and cached).
     Serve {
         /// Model path.
         model: PathBuf,
@@ -117,8 +117,6 @@ pub enum Command {
         timeout_ms: u64,
         /// Serve this many connections then exit.
         max_requests: Option<usize>,
-        /// Use the original single-threaded sequential server.
-        legacy: bool,
         /// Coordinator mode: scatter-gather over these shard servers.
         shards: Vec<String>,
         /// Coordinator: per-shard request budget in milliseconds.
@@ -449,7 +447,6 @@ fn parse_serve(rest: &[&String]) -> Result<Command, String> {
             Some(v) => Some(parse_num(v, "max-requests")?),
             None => None,
         },
-        legacy: has_flag(rest, "--legacy"),
         shards: match flag_value(rest, "--shards") {
             Some(v) => parse_shards(v)?,
             None => Vec::new(),
@@ -495,9 +492,6 @@ fn parse_serve(rest: &[&String]) -> Result<Command, String> {
         },
         ingest: match flag_value(rest, "--ingest") {
             Some(v) => {
-                if has_flag(rest, "--legacy") {
-                    return Err("--ingest needs the pooled server (drop --legacy)".to_string());
-                }
                 if has_flag(rest, "--shards") {
                     return Err(
                         "--ingest updates a local model; a coordinator has none (drop --shards)"
@@ -688,7 +682,6 @@ mod tests {
                 cache,
                 timeout_ms,
                 max_requests,
-                legacy,
                 ..
             } => {
                 assert_eq!(port, 8100);
@@ -698,7 +691,6 @@ mod tests {
                 assert_eq!(cache, 1024);
                 assert_eq!(timeout_ms, 5000);
                 assert_eq!(max_requests, None);
-                assert!(!legacy);
             }
             other => panic!("{other:?}"),
         }
@@ -708,19 +700,12 @@ mod tests {
     fn parse_serve_tuning_flags() {
         let cmd = parse(&argv(
             "serve m.csrp --workers 4 --batch 16 --linger-us 50 --cache 0 \
-             --timeout-ms 250 --max-requests 3 --legacy",
+             --timeout-ms 250 --max-requests 3",
         ))
         .unwrap();
         match cmd {
             Command::Serve {
-                workers,
-                batch,
-                linger_us,
-                cache,
-                timeout_ms,
-                max_requests,
-                legacy,
-                ..
+                workers, batch, linger_us, cache, timeout_ms, max_requests, ..
             } => {
                 assert_eq!(workers, Some(4));
                 assert_eq!(batch, 16);
@@ -728,7 +713,6 @@ mod tests {
                 assert_eq!(cache, 0);
                 assert_eq!(timeout_ms, 250);
                 assert_eq!(max_requests, Some(3));
-                assert!(legacy);
             }
             other => panic!("{other:?}"),
         }
@@ -951,9 +935,6 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(parse(&argv("serve m.csrp --cache-ttl-ms 0")).unwrap_err().contains("at least 1"));
-        assert!(parse(&argv("serve m.csrp --ingest g.txt --legacy"))
-            .unwrap_err()
-            .contains("drop --legacy"));
         assert!(parse(&argv("serve m.csrp --ingest g.txt --shards 127.0.0.1:8101"))
             .unwrap_err()
             .contains("drop --shards"));

@@ -147,7 +147,6 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
             cache,
             timeout_ms,
             max_requests,
-            legacy,
             shards,
             shard_timeout_ms,
             hedge_ms,
@@ -160,23 +159,9 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
             ingest_refresh,
             ingest_checkpoint,
         } => {
-            if legacy && !shards.is_empty() {
-                return Err("--legacy and --shards are mutually exclusive".into());
-            }
-            if legacy && (cache_admission || adaptive_linger || degrade_rank.is_some()) {
-                return Err("adaptive policies need the pooled server (drop --legacy)".into());
-            }
             let t0 = Instant::now();
             let m = persist::load_model(&model)?;
             let load_time = t0.elapsed();
-            if legacy {
-                eprintln!(
-                    "serving {} nodes at rank {} (legacy sequential; routes: /health /similarity /topk /query)",
-                    m.n(),
-                    m.rank()
-                );
-                return csrplus_serve::legacy::serve(m, port, max_requests);
-            }
             let mut config = csrplus_serve::ServeConfig::default();
             if let Some(w) = workers {
                 config.workers = w.max(1);

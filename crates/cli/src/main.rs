@@ -10,7 +10,7 @@
 //! csrplus exact      <graph.txt> --nodes 1,3 [--damping C] [--epsilon E]
 //! csrplus join       <model.csrp> --threshold T [--limit N]
 //! csrplus serve      <model.csrp> [--port P] [--workers N] [--batch B] [--linger-us U]
-//!                    [--cache COLS] [--timeout-ms MS] [--max-requests N] [--legacy]
+//!                    [--cache COLS] [--timeout-ms MS] [--max-requests N]
 //!                    [--shards host:port,... [--shard-timeout-ms MS] [--hedge-ms MS]]
 //! csrplus shard      <model.csrp> --rows LO:HI [serve flags]
 //! csrplus pack       <model.csrp> --out <packed.csrp>
@@ -22,7 +22,6 @@
 //! delegated to the `csrplus-serve` crate: a worker pool with a bounded
 //! admission queue, a micro-batcher coalescing concurrent queries into
 //! multi-source evaluations, a sharded LRU column cache, and `/metrics`.
-//! `--legacy` falls back to the original sequential accept loop.
 //!
 //! Scatter-gather deployments split the internal row space over `shard`
 //! processes (each serving one `--rows LO:HI` slice of the same mmap'd

@@ -25,10 +25,6 @@ impl Drop for Server {
 }
 
 fn start_server() -> Server {
-    start_server_with(&[])
-}
-
-fn start_server_with(extra_args: &[&str]) -> Server {
     // Build a tiny model file first.  Tests run in parallel: each server
     // gets its own files, or one test rewrites the model another loads.
     static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
@@ -45,7 +41,6 @@ fn start_server_with(extra_args: &[&str]) -> Server {
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_csrplus"))
         .args(["serve", model.to_str().unwrap(), "--port", "0"])
-        .args(extra_args)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -130,21 +125,4 @@ fn metrics_route_reports_counts() {
     assert!(body.contains("\"hits\":1"), "{body}");
     assert!(body.contains("\"model_evaluations\":1"), "{body}");
     assert!(body.contains("\"latency_us\""), "{body}");
-}
-
-#[test]
-fn legacy_mode_serves_same_routes_without_metrics() {
-    let server = start_server_with(&["--legacy"]);
-
-    let (code, body) = get(&server.addr, "/health");
-    assert_eq!(code, 200);
-    assert!(body.contains("\"status\":\"ok\""), "{body}");
-
-    let (code, body) = get(&server.addr, "/similarity?a=1&b=3");
-    assert_eq!(code, 200);
-    assert!(body.contains("\"similarity\":"), "{body}");
-
-    // The sequential server predates the metrics endpoint.
-    let (code, _) = get(&server.addr, "/metrics");
-    assert_eq!(code, 404);
 }

@@ -45,5 +45,5 @@ pub use csrplus_linalg::DenseMatrix;
 pub use engine::{CoSimRankEngine, EngineOutcome};
 pub use error::CoSimRankError;
 pub use factor::{DenseMatrixF32, Factor, FactorView, RowRef};
-pub use model::{CsrPlusModel, ModelPermutation};
+pub use model::{CsrPlusModel, ModelPermutation, Query, TopK};
 pub use precision::{set_storage_precision, storage_precision, Precision};

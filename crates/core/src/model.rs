@@ -10,6 +10,8 @@ use csrplus_graph::TransitionMatrix;
 use csrplus_linalg::randomized::randomized_svd;
 use csrplus_linalg::DenseMatrix;
 use csrplus_memtrack::MemoryBudget;
+use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -65,6 +67,53 @@ impl ModelPermutation {
     pub fn kind(&self) -> Reordering {
         self.kind
     }
+}
+
+/// One evaluation plan for the online phase (Algorithm 1 line 7),
+/// `[S]_{*,Q} = [Iₙ]_{*,Q} + c·Z·[U]_{Q,*}ᵀ`: which source columns, which
+/// rows, and how many factor columns.  [`Query::new`] is the plain
+/// multi-source query — every row, full rank.
+///
+/// Evaluated by [`CsrPlusModel::evaluate_into`] (one block) and
+/// [`CsrPlusModel::columns_into`] (one owned column per source).
+#[derive(Debug, Clone)]
+pub struct Query<'a> {
+    /// The query set `Q` as original node ids; result column `j` answers
+    /// `sources[j]`.
+    pub sources: &'a [usize],
+    /// `None`: all `n` rows in original-id order.  `Some(lo..hi)`: the
+    /// *internal* (reordered) rows `lo..hi` only — the slice a shard
+    /// owns.  Each entry is the same independent dot product the full
+    /// evaluation computes, so the slices of a partition of `0..n`
+    /// concatenate bitwise into the full answer in internal order.
+    pub rows: Option<Range<usize>>,
+    /// `None`: full rank.  `Some(t)`: only the leading `t.clamp(1, r)`
+    /// factor columns, `[S]_{*,Q} ≈ [Iₙ]_{*,Q} + c·[Z]_{*,..t}·[U]_{Q,..t}ᵀ`.
+    /// Dropping trailing coordinates drops the smallest-σ directions of
+    /// the subspace — the same tolerance the random-projection CoSimRank
+    /// line exploits — so a pressured server can serve a cheaper
+    /// truncated answer instead of shedding.  At `t ≥ r` the plan routes
+    /// through exactly the full-rank views and is bitwise identical to
+    /// `None`.
+    pub rank: Option<usize>,
+}
+
+impl<'a> Query<'a> {
+    /// Every row of `[S]_{*,sources}` at full rank.
+    pub fn new(sources: &'a [usize]) -> Self {
+        Query { sources, rows: None, rank: None }
+    }
+}
+
+/// The answer of [`CsrPlusModel::top_k_scan`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct TopK {
+    /// The best `(original id, score)` pairs, by descending score with
+    /// ascending original id as the tie-break.
+    pub hits: Vec<(usize, f64)>,
+    /// Candidates whose exact score was computed — the
+    /// pruning-effectiveness metric the ablation benches report.
+    pub scanned: usize,
 }
 
 /// The memoised state of Algorithm 1 after precomputation.
@@ -442,85 +491,111 @@ impl CsrPlusModel {
     /// [`CoSimRankError::QueryOutOfBounds`] on an invalid node id.
     pub fn multi_source(&self, queries: &[usize]) -> Result<DenseMatrix, CoSimRankError> {
         let mut s = DenseMatrix::zeros(0, 0);
-        self.multi_source_into(queries, &mut s)?;
+        self.evaluate_into(&Query::new(queries), &mut s)?;
         Ok(s)
     }
 
-    /// [`CsrPlusModel::multi_source`] writing into a caller-provided
-    /// matrix, which is resized to `n × |Q|` reusing its existing
-    /// allocation when capacity suffices — the steady-state query path
-    /// allocates nothing for the result block.
-    pub fn multi_source_into(
-        &self,
-        queries: &[usize],
-        out: &mut DenseMatrix,
-    ) -> Result<(), CoSimRankError> {
-        self.multi_source_rank_into(queries, self.rank(), out)
-    }
-
-    /// [`CsrPlusModel::multi_source_into`] truncated to the leading
-    /// `rank` factor columns: `[S]_{*,Q} ≈ [Iₙ]_{*,Q} +
-    /// c·[Z]_{*,..t}·[U]_{Q,..t}ᵀ` with `t = rank.clamp(1, r)`.
+    /// Evaluates `query` as one block written into `out`, which is resized
+    /// to `rows × |Q|` reusing its existing allocation when capacity
+    /// suffices — the steady-state query path allocates nothing for the
+    /// result block.
     ///
-    /// Dropping trailing coordinates drops the smallest-σ directions of
-    /// the subspace — the same tolerance the random-projection CoSimRank
-    /// line exploits — so a pressured server can serve a cheaper
-    /// truncated answer instead of shedding.  At `rank ≥ r` this routes
-    /// through exactly the full-rank views and is **bitwise identical**
-    /// to [`CsrPlusModel::multi_source_into`].
+    /// With `rows: None` row `i` is original node `i`; with
+    /// `Some(lo..hi)` row `i` is internal row `lo + i` (translate with
+    /// [`CsrPlusModel::original_id`]).  Concatenating the blocks of a
+    /// partition of `0..n` and scattering rows through the permutation
+    /// reproduces the full block bitwise.
     ///
     /// # Errors
-    /// [`CoSimRankError::QueryOutOfBounds`] on an invalid node id.
-    pub fn multi_source_rank_into(
+    /// [`CoSimRankError::QueryOutOfBounds`] on an invalid node id,
+    /// [`CoSimRankError::InvalidConfig`] on an invalid row range.
+    pub fn evaluate_into(
         &self,
-        queries: &[usize],
-        rank: usize,
+        query: &Query,
         out: &mut DenseMatrix,
     ) -> Result<(), CoSimRankError> {
-        let internal = self.internal_queries(queries)?;
-        match &self.perm {
-            None => self.multi_source_internal_into(&internal, 0, self.n, rank, out),
-            Some(p) => {
-                // Evaluate in internal row order, then scatter each row
-                // to its original id — a pure reordering of bitwise
-                // untouched values.
-                let mut block = DenseMatrix::zeros(0, 0);
-                self.multi_source_internal_into(&internal, 0, self.n, rank, &mut block)?;
-                let w = queries.len();
-                out.resize_for_overwrite(self.n, w);
-                let dst = out.as_mut_slice();
-                for (i, &orig) in p.order.iter().enumerate() {
-                    dst[orig as usize * w..(orig as usize + 1) * w].copy_from_slice(block.row(i));
-                }
-                Ok(())
-            }
+        let (internal, rows) = self.plan(query)?;
+        let Some(p) = self.perm.as_ref().filter(|_| query.rows.is_none()) else {
+            return self.evaluate_internal(&internal, rows, query.rank, out);
+        };
+        // Evaluate in internal row order, then scatter each row to its
+        // original id — a pure reordering of bitwise untouched values.
+        let mut block = DenseMatrix::zeros(0, 0);
+        self.evaluate_internal(&internal, rows, query.rank, &mut block)?;
+        let w = query.sources.len();
+        out.resize_for_overwrite(self.n, w);
+        let dst = out.as_mut_slice();
+        for (i, &orig) in p.order.iter().enumerate() {
+            dst[orig as usize * w..(orig as usize + 1) * w].copy_from_slice(block.row(i));
         }
+        Ok(())
     }
 
-    /// Bounds-checks `queries` (original ids) and maps them to internal
-    /// factor rows.  For permutation-free models the mapping is the
-    /// identity and the input slice is borrowed back allocation-free —
-    /// the steady-state query path must not pay for a feature it does
-    /// not use.
-    fn internal_queries<'q>(
+    /// Evaluates `query` through a caller-owned `scratch` block and
+    /// returns one owned column per source: column `j` is
+    /// `[S]_{*,sources[j]}` over the plan's rows, bitwise equal to column
+    /// `j` of [`CsrPlusModel::evaluate_into`].  The block is written into
+    /// `scratch` (resized in place, reusing its allocation) and only the
+    /// output columns are freshly allocated — they are handed off to
+    /// waiting requests, so they cannot be pooled here.  The serving
+    /// batcher keeps one scratch per worker and calls this in its steady
+    /// state.
+    ///
+    /// # Errors
+    /// [`CoSimRankError::QueryOutOfBounds`] on an invalid node id,
+    /// [`CoSimRankError::InvalidConfig`] on an invalid row range.
+    pub fn columns_into(
         &self,
-        queries: &'q [usize],
-    ) -> Result<std::borrow::Cow<'q, [usize]>, CoSimRankError> {
-        for &q in queries {
-            if q >= self.n {
-                return Err(CoSimRankError::QueryOutOfBounds { node: q, n: self.n });
-            }
+        query: &Query,
+        scratch: &mut DenseMatrix,
+    ) -> Result<Vec<Vec<f64>>, CoSimRankError> {
+        let (internal, rows) = self.plan(query)?;
+        let len = rows.len();
+        self.evaluate_internal(&internal, rows, query.rank, scratch)?;
+        let w = query.sources.len();
+        match self.perm.as_ref().filter(|_| query.rows.is_none()) {
+            // Gather columns scattering each internal row to its original
+            // id in one pass (no row-scatter intermediate).
+            Some(p) => Self::gather_columns(scratch, len, w, Some(&p.order)),
+            // |Q| = 1: the rows × 1 result block already is the column.
+            None if w == 1 => Ok(vec![scratch.as_slice().to_vec()]),
+            None => Self::gather_columns(scratch, len, w, None),
         }
-        Ok(match &self.perm {
-            None => std::borrow::Cow::Borrowed(queries),
-            Some(_) => queries.iter().map(|&q| self.internal_row(q)).collect(),
-        })
     }
 
-    /// The shared evaluation core: rows `lo..hi` (internal order) of
+    /// Validates a plan — the row range, then every source node — and
+    /// maps the sources to internal factor rows.  For permutation-free
+    /// models the mapping is the identity and the input slice is borrowed
+    /// back allocation-free: the steady-state query path must not pay for
+    /// a feature it does not use.
+    fn plan<'q>(
+        &self,
+        query: &Query<'q>,
+    ) -> Result<(Cow<'q, [usize]>, Range<usize>), CoSimRankError> {
+        let rows = query.rows.clone().unwrap_or(0..self.n);
+        if rows.start > rows.end || rows.end > self.n {
+            return Err(CoSimRankError::InvalidConfig {
+                message: format!(
+                    "row range {}..{} invalid for n = {}",
+                    rows.start, rows.end, self.n
+                ),
+            });
+        }
+        if let Some(&node) = query.sources.iter().find(|&&q| q >= self.n) {
+            return Err(CoSimRankError::QueryOutOfBounds { node, n: self.n });
+        }
+        let internal = match &self.perm {
+            None => Cow::Borrowed(query.sources),
+            Some(_) => query.sources.iter().map(|&q| self.internal_row(q)).collect(),
+        };
+        Ok((internal, rows))
+    }
+
+    /// The shared evaluation core: internal rows `rows` of
     /// `[S]_{*,Q} = [Iₙ]_{*,Q} + c·Z·[U]_{Q,*}ᵀ` for already-translated
-    /// internal query rows, written to a `(hi-lo) × |Q|` block, using
-    /// only the leading `rank.clamp(1, r)` factor columns.
+    /// internal query rows, written to a `rows.len() × |Q|` block, using
+    /// only the leading `rank.clamp(1, r)` factor columns (all of them
+    /// for `None`).
     ///
     /// Every output element is an independent row·row dot product in the
     /// dispatched kernel, so a range evaluation is bitwise identical to
@@ -528,14 +603,14 @@ impl CsrPlusModel {
     /// shard coordinator reassemble exactly the single-process answer.
     /// Truncation is a column sub-block of the very same views (`t = r`
     /// is the identity block), so the full-rank path is untouched.
-    fn multi_source_internal_into(
+    fn evaluate_internal(
         &self,
         internal: &[usize],
-        lo: usize,
-        hi: usize,
-        rank: usize,
+        rows: Range<usize>,
+        rank: Option<usize>,
         out: &mut DenseMatrix,
     ) -> Result<(), CoSimRankError> {
+        let (lo, hi) = (rows.start, rows.end);
         debug_assert!(lo <= hi && hi <= self.n);
         let uq = self.u.select_rows(internal); // |Q| × r, same precision as U
                                                // The kernels below overwrite every element of the result block,
@@ -546,7 +621,7 @@ impl CsrPlusModel {
         // kernel (and bits) as the owned transpose-b product.  f32-stored
         // factors take the mixed kernel (f64 accumulation).
         let r = self.rank();
-        let t = rank.clamp(1, r.max(1)).min(r);
+        let t = rank.unwrap_or(r).clamp(1, r.max(1)).min(r);
         let q = internal.len();
         match (self.z.factor_view(), uq.factor_view()) {
             (FactorView::F64(z), FactorView::F64(u)) => csrplus_linalg::matmul_into(
@@ -565,102 +640,12 @@ impl CsrPlusModel {
         }
         out.scale_in_place(self.config.damping);
         for (j, &q) in internal.iter().enumerate() {
-            if q >= lo && q < hi {
+            if rows.contains(&q) {
                 let v = out.get(q - lo, j) + 1.0;
                 out.set(q - lo, j, v);
             }
         }
         Ok(())
-    }
-
-    /// Rows `lo..hi` — in *internal* (reordered) row order — of the
-    /// multi-source block, the per-shard unit of evaluation.  Queries are
-    /// original node ids as everywhere else; only the output rows are
-    /// internal, because a contiguous internal range is what a shard
-    /// owns.  Concatenating the blocks of a partition of `0..n` and
-    /// scattering rows through the permutation reproduces
-    /// [`CsrPlusModel::multi_source_into`] bitwise.
-    ///
-    /// # Errors
-    /// [`CoSimRankError::QueryOutOfBounds`] on an invalid node id,
-    /// [`CoSimRankError::InvalidConfig`] on an invalid range.
-    pub fn multi_source_range_into(
-        &self,
-        queries: &[usize],
-        lo: usize,
-        hi: usize,
-        out: &mut DenseMatrix,
-    ) -> Result<(), CoSimRankError> {
-        if lo > hi || hi > self.n {
-            return Err(CoSimRankError::InvalidConfig {
-                message: format!("row range {lo}..{hi} invalid for n = {}", self.n),
-            });
-        }
-        let internal = self.internal_queries(queries)?;
-        self.multi_source_internal_into(&internal, lo, hi, self.rank(), out)
-    }
-
-    /// Multi-source query evaluated in bounded-memory chunks: the query
-    /// set is processed `chunk` columns at a time and each `n × chunk`
-    /// block is handed to `sink` before the next is computed — the
-    /// streaming regime for very large `|Q|` where the full `n × |Q|`
-    /// block would not fit (the memory growth of Figures 7/9, capped).
-    pub fn multi_source_chunked(
-        &self,
-        queries: &[usize],
-        chunk: usize,
-        mut sink: impl FnMut(&[usize], &DenseMatrix),
-    ) -> Result<(), CoSimRankError> {
-        if chunk == 0 {
-            return Err(CoSimRankError::InvalidConfig {
-                message: "multi_source_chunked: chunk must be positive".into(),
-            });
-        }
-        for part in queries.chunks(chunk) {
-            let block = self.multi_source(part)?;
-            sink(part, &block);
-        }
-        Ok(())
-    }
-
-    /// Partial-pairs similarity block `[S]_{A,B}` — every pair between
-    /// two node sets, in `O(|A|·|B|·r)` after the shared precompute
-    /// (the partial-pairs regime of Yu & McCann 2015, expressed through
-    /// Theorem 3.5: `[S]_{A,B} = [Iₙ]_{A,B} + c·[Z]_{A,*}·[U]_{B,*}ᵀ`).
-    pub fn partial_pairs(
-        &self,
-        rows: &[usize],
-        cols: &[usize],
-    ) -> Result<DenseMatrix, CoSimRankError> {
-        for &x in rows.iter().chain(cols.iter()) {
-            if x >= self.n {
-                return Err(CoSimRankError::QueryOutOfBounds { node: x, n: self.n });
-            }
-        }
-        let internal_rows = self.internal_queries(rows)?;
-        let internal_cols = self.internal_queries(cols)?;
-        let za = self.z.select_rows(&internal_rows); // |A| × r
-        let ub = self.u.select_rows(&internal_cols); // |B| × r
-        let mut s = DenseMatrix::zeros(rows.len(), cols.len()); // |A| × |B|
-        match (za.factor_view(), ub.factor_view()) {
-            (FactorView::F64(a), FactorView::F64(b)) => {
-                csrplus_linalg::matmul_into(a, b.t(), s.view_mut(), csrplus_par::threads())?
-            }
-            (FactorView::F32(a), FactorView::F32(b)) => {
-                csrplus_linalg::matmul_into_mixed(a, b.t(), s.view_mut(), csrplus_par::threads())?
-            }
-            _ => unreachable!("U and Z always share one storage precision"),
-        }
-        s.scale_in_place(self.config.damping);
-        for (i, &a) in rows.iter().enumerate() {
-            for (j, &b) in cols.iter().enumerate() {
-                if a == b {
-                    let v = s.get(i, j) + 1.0;
-                    s.set(i, j, v);
-                }
-            }
-        }
-        Ok(s)
     }
 
     /// Single-source similarity column `[S]_{*,q}`.
@@ -683,97 +668,17 @@ impl CsrPlusModel {
     }
 
     /// [`CsrPlusModel::query_columns`] evaluating through a caller-owned
-    /// scratch block: the `n × |Q|` similarity matrix is written into
-    /// `scratch` (resized in place, reusing its allocation) and only the
-    /// per-query output columns are freshly allocated — they are handed
-    /// off to the waiting requests, so they cannot be pooled here.  The
-    /// serving batcher keeps one scratch per worker and calls this in its
-    /// steady state.
+    /// scratch block: [`CsrPlusModel::columns_into`] over all rows at full
+    /// rank.
+    ///
+    /// # Errors
+    /// [`CoSimRankError::QueryOutOfBounds`] on an invalid node id.
     pub fn query_columns_into(
         &self,
         queries: &[usize],
         scratch: &mut DenseMatrix,
     ) -> Result<Vec<Vec<f64>>, CoSimRankError> {
-        self.query_columns_rank_into(queries, self.rank(), scratch)
-    }
-
-    /// [`CsrPlusModel::query_columns_into`] truncated to the leading
-    /// `rank` factor columns (see
-    /// [`CsrPlusModel::multi_source_rank_into`]) — the serving layer's
-    /// pressure-degradation entry point.  At `rank ≥ r` the answers are
-    /// bitwise identical to the full-rank path.
-    ///
-    /// # Errors
-    /// [`CoSimRankError::QueryOutOfBounds`] on an invalid node id.
-    pub fn query_columns_rank_into(
-        &self,
-        queries: &[usize],
-        rank: usize,
-        scratch: &mut DenseMatrix,
-    ) -> Result<Vec<Vec<f64>>, CoSimRankError> {
-        match &self.perm {
-            None => {
-                self.multi_source_rank_into(queries, rank, scratch)?;
-                if let [_] = queries {
-                    // |Q| = 1: the n×1 result block already is the column.
-                    return Ok(vec![scratch.as_slice().to_vec()]);
-                }
-                Self::gather_columns(scratch, self.n, queries.len(), None)
-            }
-            Some(p) => {
-                // Evaluate internally, gather columns scattering each row
-                // to its original id in one pass (no row-scatter
-                // intermediate).
-                let internal = self.internal_queries(queries)?;
-                self.multi_source_internal_into(&internal, 0, self.n, rank, scratch)?;
-                Self::gather_columns(scratch, self.n, queries.len(), Some(&p.order))
-            }
-        }
-    }
-
-    /// Partial columns for a contiguous internal row range `lo..hi` — the
-    /// per-shard sibling of [`CsrPlusModel::query_columns_into`].  Entry
-    /// `i` of a returned column is internal row `lo + i` (use
-    /// [`CsrPlusModel::original_id`] to translate); the values are
-    /// bitwise equal to the corresponding entries of the full column.
-    pub fn query_columns_range_into(
-        &self,
-        queries: &[usize],
-        lo: usize,
-        hi: usize,
-        scratch: &mut DenseMatrix,
-    ) -> Result<Vec<Vec<f64>>, CoSimRankError> {
-        self.query_columns_range_rank_into(queries, lo, hi, self.rank(), scratch)
-    }
-
-    /// [`CsrPlusModel::query_columns_range_into`] truncated to the
-    /// leading `rank` factor columns — what a shard server evaluates
-    /// when the coordinator forwards a degraded-rank request.  At
-    /// `rank ≥ r` the partial columns are bitwise identical to the
-    /// full-rank ones.
-    ///
-    /// # Errors
-    /// [`CoSimRankError::QueryOutOfBounds`] on an invalid node id,
-    /// [`CoSimRankError::InvalidConfig`] on an invalid range.
-    pub fn query_columns_range_rank_into(
-        &self,
-        queries: &[usize],
-        lo: usize,
-        hi: usize,
-        rank: usize,
-        scratch: &mut DenseMatrix,
-    ) -> Result<Vec<Vec<f64>>, CoSimRankError> {
-        if lo > hi || hi > self.n {
-            return Err(CoSimRankError::InvalidConfig {
-                message: format!("row range {lo}..{hi} invalid for n = {}", self.n),
-            });
-        }
-        let internal = self.internal_queries(queries)?;
-        self.multi_source_internal_into(&internal, lo, hi, rank, scratch)?;
-        if let [_] = queries {
-            return Ok(vec![scratch.as_slice().to_vec()]);
-        }
-        Self::gather_columns(scratch, hi - lo, queries.len(), None)
+        self.columns_into(&Query::new(queries), scratch)
     }
 
     /// Gathers the `w` columns of the `rows × w` block `s` into owned
@@ -863,60 +768,32 @@ impl CsrPlusModel {
     /// *original* node id, so reordered and identity models agree on the
     /// result set.
     pub fn top_k_pruned(&self, q: usize, k: usize) -> Result<Vec<(usize, f64)>, CoSimRankError> {
-        Ok(self.top_k_pruned_with_stats(q, k)?.0)
+        Ok(self.top_k_scan(q, k, None)?.hits)
     }
 
-    /// [`CsrPlusModel::top_k_pruned`] plus the number of candidates whose
-    /// exact score was actually computed — the pruning-effectiveness
-    /// metric reported by the ablation benches.
-    pub fn top_k_pruned_with_stats(
-        &self,
-        q: usize,
-        k: usize,
-    ) -> Result<(Vec<(usize, f64)>, usize), CoSimRankError> {
-        self.top_k_pruned_range_with_stats(q, k, 0, self.n)
-    }
-
-    /// Pruned top-`k` restricted to candidates in the contiguous
-    /// *internal* row range `lo..hi` — what one shard contributes to a
-    /// scatter-gather query.  Returned ids are original node ids.  The
-    /// full range `0..n` is [`CsrPlusModel::top_k_pruned`] itself.
-    pub fn top_k_pruned_range(
-        &self,
-        q: usize,
-        k: usize,
-        lo: usize,
-        hi: usize,
-    ) -> Result<Vec<(usize, f64)>, CoSimRankError> {
-        Ok(self.top_k_pruned_range_with_stats(q, k, lo, hi)?.0)
-    }
-
-    /// [`CsrPlusModel::top_k_pruned_range`] with the scanned-candidates
-    /// count.
+    /// The pruned scan behind [`CsrPlusModel::top_k_pruned`], restricted
+    /// to candidates in the internal row range `rows` (`None`: all of
+    /// them) — what one shard contributes to a scatter-gather query.
+    /// Returned ids are original node ids; [`TopK::scanned`] counts the
+    /// candidates whose exact score was computed.
     ///
     /// # Errors
     /// [`CoSimRankError::QueryOutOfBounds`] on an invalid query node,
-    /// [`CoSimRankError::InvalidConfig`] on an invalid range.
-    pub fn top_k_pruned_range_with_stats(
+    /// [`CoSimRankError::InvalidConfig`] on an invalid row range.
+    pub fn top_k_scan(
         &self,
         q: usize,
         k: usize,
-        lo: usize,
-        hi: usize,
-    ) -> Result<(Vec<(usize, f64)>, usize), CoSimRankError> {
-        if q >= self.n {
-            return Err(CoSimRankError::QueryOutOfBounds { node: q, n: self.n });
-        }
-        if lo > hi || hi > self.n {
-            return Err(CoSimRankError::InvalidConfig {
-                message: format!("row range {lo}..{hi} invalid for n = {}", self.n),
-            });
-        }
+        rows: Option<Range<usize>>,
+    ) -> Result<TopK, CoSimRankError> {
+        let source = [q];
+        let (internal, rows) = self.plan(&Query { sources: &source, rows, rank: None })?;
+        let (lo, hi) = (rows.start, rows.end);
         if k == 0 || lo == hi {
-            return Ok((Vec::new(), 0));
+            return Ok(TopK { hits: Vec::new(), scanned: 0 });
         }
         let c = self.config.damping;
-        let q_internal = self.internal_row(q);
+        let q_internal = internal[0];
         let uq = self.u.row_ref(q_internal);
         let uq0 = uq.first();
         let uq_rest = uq.tail_norm2();
@@ -948,10 +825,11 @@ impl CsrPlusModel {
         // The scan usually breaks early, so the order is only ever built
         // as far as it gets: each step selects the next-best block out of
         // the rest (O(rest)), sorts just that block, and quadruples the
-        // block size for the next step (`k` is caller-controlled, hence
-        // the saturating arithmetic).
+        // block size for the next step.  `k` is caller-controlled, hence
+        // the saturating arithmetic and a result buffer sized by the
+        // candidates that exist rather than by `k`.
         let descending = |a: &(f64, u32), b: &(f64, u32)| b.0.total_cmp(&a.0);
-        let mut best: Vec<(usize, f64)> = Vec::with_capacity(k + 1);
+        let mut best: Vec<(usize, f64)> = Vec::with_capacity(k.min(rows) + 1);
         let mut kth_score = f64::NEG_INFINITY;
         let mut scanned = 0usize;
         let (mut done, mut block) = (0, k.saturating_mul(4).max(256));
@@ -991,7 +869,7 @@ impl CsrPlusModel {
             done = end;
             block = block.saturating_mul(4);
         }
-        Ok((best, scanned))
+        Ok(TopK { hits: best, scanned })
     }
 
     /// Similarity join: every ordered pair `(x, y)`, `x ≠ y`, with
@@ -1189,7 +1067,8 @@ mod tests {
         let queries = [1usize, 3, 4];
         for t in 1..=3usize {
             let mut scratch = DenseMatrix::zeros(0, 0);
-            let cols = m.query_columns_rank_into(&queries, t, &mut scratch).unwrap();
+            let plan = Query { rank: Some(t), ..Query::new(&queries) };
+            let cols = m.columns_into(&plan, &mut scratch).unwrap();
             for (&q, col) in queries.iter().zip(&cols) {
                 for i in 0..m.n() {
                     let dot: f64 = (0..t).map(|j| m.z().get(i, j) * m.u().get(q, j)).sum();
@@ -1211,13 +1090,15 @@ mod tests {
         let mut scratch = DenseMatrix::zeros(0, 0);
         // rank = r and any rank above it route through the same views.
         for rank in [3usize, 10, usize::MAX] {
-            let cols = m.query_columns_rank_into(&queries, rank, &mut scratch).unwrap();
+            let plan = Query { rank: Some(rank), ..Query::new(&queries) };
+            let cols = m.columns_into(&plan, &mut scratch).unwrap();
             let reference = m.query_columns(&queries).unwrap();
             assert_eq!(cols, reference, "rank {rank} must be the identity truncation");
         }
         // Range variant too (the shard path).
-        let a = m.query_columns_range_rank_into(&queries, 1, 5, 3, &mut scratch).unwrap();
-        let b = m.query_columns_range_into(&queries, 1, 5, &mut scratch).unwrap();
+        let range = Query { rows: Some(1..5), ..Query::new(&queries) };
+        let a = m.columns_into(&Query { rank: Some(3), ..range.clone() }, &mut scratch).unwrap();
+        let b = m.columns_into(&range, &mut scratch).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1228,16 +1109,17 @@ mod tests {
         let m = fig1_model(3);
         let queries = [2usize, 4];
         let mut scratch = DenseMatrix::zeros(0, 0);
-        let whole = m.query_columns_rank_into(&queries, 2, &mut scratch).unwrap();
-        let lo_part = m.query_columns_range_rank_into(&queries, 0, 3, 2, &mut scratch).unwrap();
-        let hi_part = m.query_columns_range_rank_into(&queries, 3, 6, 2, &mut scratch).unwrap();
+        let plan = |rows| Query { sources: &queries, rows, rank: Some(2) };
+        let whole = m.columns_into(&plan(None), &mut scratch).unwrap();
+        let lo_part = m.columns_into(&plan(Some(0..3)), &mut scratch).unwrap();
+        let hi_part = m.columns_into(&plan(Some(3..6)), &mut scratch).unwrap();
         for (j, col) in whole.iter().enumerate() {
             let stitched: Vec<f64> = lo_part[j].iter().chain(hi_part[j].iter()).copied().collect();
             assert_eq!(col, &stitched, "query {j}");
         }
         // The diagonal +1 lands on the truncated diagonal as well.
         let mut diag = DenseMatrix::zeros(0, 0);
-        m.multi_source_rank_into(&[2], 1, &mut diag).unwrap();
+        m.evaluate_into(&Query { rank: Some(1), ..Query::new(&[2]) }, &mut diag).unwrap();
         assert!(diag.get(2, 0) > 1.0, "self-similarity keeps its identity term");
     }
 
@@ -1372,45 +1254,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_multi_source_matches_monolithic() {
-        let m = fig1_model(3);
-        let queries = [0usize, 1, 2, 3, 4, 5];
-        let full = m.multi_source(&queries).unwrap();
-        for chunk in [1usize, 2, 4, 6, 100] {
-            let mut seen = 0usize;
-            m.multi_source_chunked(&queries, chunk, |part, block| {
-                assert_eq!(block.shape(), (6, part.len()));
-                for (j, _) in part.iter().enumerate() {
-                    for i in 0..6 {
-                        assert!((block.get(i, j) - full.get(i, seen + j)).abs() < 1e-15);
-                    }
-                }
-                seen += part.len();
-            })
-            .unwrap();
-            assert_eq!(seen, queries.len());
-        }
-        assert!(m.multi_source_chunked(&queries, 0, |_, _| {}).is_err());
-    }
-
-    #[test]
-    fn partial_pairs_matches_full_matrix() {
-        let m = fig1_model(3);
-        let s_all = m.all_pairs(&MemoryBudget::unlimited()).unwrap();
-        let rows = [0usize, 3, 5];
-        let cols = [1usize, 3];
-        let block = m.partial_pairs(&rows, &cols).unwrap();
-        assert_eq!(block.shape(), (3, 2));
-        for (i, &a) in rows.iter().enumerate() {
-            for (j, &b) in cols.iter().enumerate() {
-                assert!((block.get(i, j) - s_all.get(a, b)).abs() < 1e-12);
-            }
-        }
-        assert!(m.partial_pairs(&[9], &[0]).is_err());
-        assert!(m.partial_pairs(&[0], &[9]).is_err());
-    }
-
-    #[test]
     fn similarity_matches_matrix_entry() {
         let m = fig1_model(3);
         let s = m.all_pairs(&MemoryBudget::unlimited()).unwrap();
@@ -1503,7 +1346,9 @@ mod tests {
     fn pruned_top_k_matches_naive() {
         let m = fig1_model(3);
         for q in 0..6 {
-            for k in [1usize, 3, 5, 10] {
+            // `k` is caller-controlled: a `k` past every candidate must
+            // return them all, without sizing a buffer by `k`.
+            for k in [1usize, 3, 5, 10, usize::MAX] {
                 let naive = m.top_k(q, k).unwrap();
                 let pruned = m.top_k_pruned(q, k).unwrap();
                 assert_eq!(naive.len(), pruned.len(), "q={q} k={k}");
@@ -1536,8 +1381,8 @@ mod tests {
         let mut widest = 0;
         for q in [0, 7, 700, 1499] {
             for k in [1, 10, 300, 1500] {
-                let (pruned, scanned) = m.top_k_pruned_with_stats(q, k).unwrap();
-                assert_eq!(bits(pruned), bits(m.top_k(q, k).unwrap()), "q={q} k={k}");
+                let TopK { hits, scanned } = m.top_k_scan(q, k, None).unwrap();
+                assert_eq!(bits(hits), bits(m.top_k(q, k).unwrap()), "q={q} k={k}");
                 widest = widest.max(scanned);
             }
         }
@@ -1592,9 +1437,11 @@ mod tests {
                 );
             }
         }
-        let pa = identity.partial_pairs(&[0, 3], &[1, 5]).unwrap();
-        let pb = permuted.partial_pairs(&[0, 3], &[1, 5]).unwrap();
-        assert_eq!(pa.as_slice(), pb.as_slice());
+        // Truncated plans scatter back to original ids too.
+        let mut scratch = DenseMatrix::zeros(0, 0);
+        let plan = Query { rank: Some(2), ..Query::new(&[0, 3]) };
+        let ta = identity.columns_into(&plan, &mut scratch).unwrap();
+        assert_eq!(ta, permuted.columns_into(&plan, &mut scratch).unwrap());
         // Top-k and the join report original ids.
         for q in 0..6 {
             assert_eq!(identity.top_k_pruned(q, 3).unwrap(), permuted.top_k_pruned(q, 3).unwrap());
@@ -1621,11 +1468,12 @@ mod tests {
         let (_, permuted) = permuted_fig1_model(3, vec![5, 3, 0, 1, 4, 2]);
         for m in [fig1_model(3), permuted] {
             let queries = [1usize, 4];
+            let range = |lo, hi| Query { rows: Some(lo..hi), ..Query::new(&queries) };
             let mut full = DenseMatrix::zeros(0, 0);
-            m.multi_source_range_into(&queries, 0, 6, &mut full).unwrap();
+            m.evaluate_into(&range(0, 6), &mut full).unwrap();
             for (lo, hi) in [(0usize, 2usize), (2, 5), (5, 6), (3, 3)] {
                 let mut part = DenseMatrix::zeros(0, 0);
-                m.multi_source_range_into(&queries, lo, hi, &mut part).unwrap();
+                m.evaluate_into(&range(lo, hi), &mut part).unwrap();
                 assert_eq!(part.shape(), (hi - lo, 2));
                 for i in lo..hi {
                     for j in 0..2 {
@@ -1634,7 +1482,7 @@ mod tests {
                 }
                 // Partial columns agree with the full block too.
                 let mut scratch = DenseMatrix::zeros(0, 0);
-                let cols = m.query_columns_range_into(&queries, lo, hi, &mut scratch).unwrap();
+                let cols = m.columns_into(&range(lo, hi), &mut scratch).unwrap();
                 for (j, col) in cols.iter().enumerate() {
                     assert_eq!(col.len(), hi - lo);
                     for i in lo..hi {
@@ -1642,8 +1490,8 @@ mod tests {
                     }
                 }
             }
-            assert!(m.multi_source_range_into(&queries, 4, 2, &mut full).is_err());
-            assert!(m.multi_source_range_into(&queries, 0, 9, &mut full).is_err());
+            assert!(m.evaluate_into(&range(4, 2), &mut full).is_err());
+            assert!(m.evaluate_into(&range(0, 9), &mut full).is_err());
         }
     }
 
@@ -1655,7 +1503,7 @@ mod tests {
                 let global = m.top_k_pruned(q, k).unwrap();
                 let mut merged: Vec<(usize, f64)> = Vec::new();
                 for (lo, hi) in [(0usize, 2usize), (2, 4), (4, 6)] {
-                    merged.extend(m.top_k_pruned_range(q, k, lo, hi).unwrap());
+                    merged.extend(m.top_k_scan(q, k, Some(lo..hi)).unwrap().hits);
                 }
                 merged.sort_by(|a, b| {
                     b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
@@ -1664,8 +1512,10 @@ mod tests {
                 assert_eq!(global, merged, "q={q} k={k}");
             }
         }
-        assert!(m.top_k_pruned_range(0, 3, 5, 2).is_err());
-        assert!(m.top_k_pruned_range(0, 3, 0, 0).unwrap().is_empty());
+        #[allow(clippy::reversed_empty_ranges)] // the invalid range under test
+        let backwards = Some(5..2);
+        assert!(m.top_k_scan(0, 3, backwards).is_err());
+        assert!(m.top_k_scan(0, 3, Some(0..0)).unwrap().hits.is_empty());
     }
 
     #[test]

@@ -116,6 +116,11 @@ pub fn peak_bytes() -> usize {
 }
 
 /// Resets the peak to the current live count and returns the new value.
+///
+/// The peak is process-wide: this resets it for every thread, including
+/// any [`PeakScope`] another thread has open.  Measurements that rely on
+/// it (a whole phase's heap high-water mark, across every thread that
+/// phase uses) must not overlap with another measurement.
 pub fn reset_peak() -> usize {
     let cur = current_bytes();
     PEAK.store(cur, Ordering::Relaxed);
@@ -175,6 +180,11 @@ pub fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 /// RAII scope measuring the *additional* peak heap consumed inside it.
+///
+/// The scope reads the process-wide peak, so it counts every thread's
+/// allocations — what a phase running on a worker pool needs — and a
+/// [`reset_peak`] (or another scope's start) on any thread while it is
+/// open moves its baseline.  Scopes must not overlap.
 ///
 /// ```ignore
 /// let scope = PeakScope::start();

@@ -6,9 +6,22 @@
 static ALLOC: csrplus_memtrack::TrackingAllocator = csrplus_memtrack::TrackingAllocator;
 
 use csrplus_memtrack::{current_bytes, peak_bytes, reset_peak, tracking_active, PeakScope};
+use std::sync::{Mutex, MutexGuard};
+
+/// The peak is process-wide and libtest runs tests concurrently: a
+/// `reset_peak()` in one test would move another's `PeakScope` baseline.
+/// Each test holds this lock throughout.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // The guarded value is `()`, so a test that panicked while holding
+    // the lock left nothing inconsistent behind.
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 #[test]
 fn allocator_counts_live_and_peak_bytes() {
+    let _serial = serial();
     reset_peak();
     let before = current_bytes();
     let block: Vec<u8> = vec![7; 1 << 20]; // 1 MiB
@@ -25,6 +38,7 @@ fn allocator_counts_live_and_peak_bytes() {
 
 #[test]
 fn peak_scope_measures_transient_allocation() {
+    let _serial = serial();
     // NB: tests in one binary may run concurrently; use a size large
     // enough to dominate incidental allocations from the harness.
     let scope = PeakScope::start();
@@ -38,6 +52,7 @@ fn peak_scope_measures_transient_allocation() {
 
 #[test]
 fn realloc_paths_are_tracked() {
+    let _serial = serial();
     reset_peak();
     let mut v: Vec<u8> = Vec::new();
     for i in 0..100_000u32 {

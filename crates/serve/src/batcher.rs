@@ -15,11 +15,11 @@
 //! `|Q|` round trips.  A dedicated batcher thread fires
 //! when either `max_batch` nodes are pending or the oldest has
 //! lingered for the configured window, deduplicates the node set, runs
-//! one [`CsrPlusModel::query_columns`] call, feeds the cache, and
+//! one [`CsrPlusModel::columns_into`] evaluation, feeds the cache, and
 //! scatters `Arc` columns back to every waiter.
 //!
-//! The batcher holds a [`SnapshotHandle`], not a model: every waiter
-//! carries the [`Snapshot`] its request loaded, batches are grouped by
+//! The batcher holds no model: every waiter carries the [`Snapshot`]
+//! its request loaded, batches are grouped by
 //! `(epoch, rank)`, and each group is evaluated against its own
 //! snapshot's model — so even requests coalesced across an epoch swap
 //! are each answered by exactly the model version they loaded.
@@ -27,8 +27,9 @@
 use crate::cache::{Column, ColumnCache};
 use crate::gauge::LoadGauge;
 use crate::metrics::Metrics;
-use crate::snapshot::{Snapshot, SnapshotHandle};
-use csrplus_core::CsrPlusModel;
+use crate::snapshot::Snapshot;
+use csrplus_core::{CsrPlusModel, Query};
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -80,7 +81,6 @@ struct State {
 struct Shared {
     state: Mutex<State>,
     wake: Condvar,
-    handle: Arc<SnapshotHandle>,
     cache: Arc<ColumnCache>,
     metrics: Arc<Metrics>,
     max_batch: usize,
@@ -88,12 +88,11 @@ struct Shared {
     /// When set, evaluations are restricted to internal rows `lo..hi`:
     /// columns have `hi - lo` entries (what a shard server publishes)
     /// instead of `n`.
-    rows: Option<(usize, usize)>,
-    /// Queue-depth gauge for the adaptive linger (None in fixed mode).
-    gauge: Option<Arc<LoadGauge>>,
-    /// Load-aware linger: stretch toward `linger` as the queue fills,
-    /// collapse to zero when it is empty.
-    adaptive: bool,
+    rows: Option<Range<usize>>,
+    /// Load-aware linger: with a queue-depth gauge the window stretches
+    /// toward `linger` as the queue fills and collapses to zero when it
+    /// is empty; `None` keeps the fixed `linger`.
+    adaptive: Option<Arc<LoadGauge>>,
 }
 
 /// The load-aware linger window: an idle server answers immediately
@@ -111,11 +110,11 @@ pub fn adaptive_linger(linger_max: Duration, depth: usize, capacity: usize) -> D
 
 impl Shared {
     /// The linger for the window opening now: fixed, or load-aware when
-    /// the adaptive policy is on and a gauge is wired.
+    /// the adaptive policy is on.
     fn effective_linger(&self) -> Duration {
-        match (&self.gauge, self.adaptive) {
-            (Some(gauge), true) => adaptive_linger(self.linger, gauge.depth(), gauge.capacity()),
-            _ => self.linger,
+        match &self.adaptive {
+            Some(gauge) => adaptive_linger(self.linger, gauge.depth(), gauge.capacity()),
+            None => self.linger,
         }
     }
 }
@@ -130,55 +129,26 @@ impl Batcher {
     /// Starts the batcher thread.  `max_batch` caps `|Q|` per
     /// evaluation; `linger` is how long the first request of a batch
     /// waits for company before the batch fires anyway.
+    /// `rows: Some((lo, hi))` restricts every evaluation to internal rows
+    /// `lo..hi` — the per-shard engine of the scatter-gather server.
+    /// With an `adaptive` gauge the linger window is [`adaptive_linger`]
+    /// of its current queue depth instead of the fixed `linger`.
     pub fn new(
-        handle: Arc<SnapshotHandle>,
-        cache: Arc<ColumnCache>,
-        metrics: Arc<Metrics>,
-        max_batch: usize,
-        linger: Duration,
-    ) -> Self {
-        Self::for_rows(handle, cache, metrics, max_batch, linger, None)
-    }
-
-    /// [`Batcher::new`] restricted to internal rows `lo..hi` — the
-    /// per-shard engine of the scatter-gather server.  `None` serves the
-    /// full `0..n` range and is exactly [`Batcher::new`].
-    pub fn for_rows(
-        handle: Arc<SnapshotHandle>,
         cache: Arc<ColumnCache>,
         metrics: Arc<Metrics>,
         max_batch: usize,
         linger: Duration,
         rows: Option<(usize, usize)>,
-    ) -> Self {
-        Self::with_policies(handle, cache, metrics, max_batch, linger, rows, None, false)
-    }
-
-    /// [`Batcher::for_rows`] with the adaptive serving policies: when
-    /// `adaptive` is set (and a `gauge` is supplied) the linger window is
-    /// [`adaptive_linger`] of the current queue depth instead of the
-    /// fixed `linger`.
-    #[allow(clippy::too_many_arguments)] // internal assembly seam, called once
-    pub fn with_policies(
-        handle: Arc<SnapshotHandle>,
-        cache: Arc<ColumnCache>,
-        metrics: Arc<Metrics>,
-        max_batch: usize,
-        linger: Duration,
-        rows: Option<(usize, usize)>,
-        gauge: Option<Arc<LoadGauge>>,
-        adaptive: bool,
+        adaptive: Option<Arc<LoadGauge>>,
     ) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State { pending: Vec::new(), deadline: None, shutdown: false }),
             wake: Condvar::new(),
-            handle,
             cache,
             metrics,
             max_batch: max_batch.max(1),
             linger,
-            rows,
-            gauge,
+            rows: rows.map(|(lo, hi)| lo..hi),
             adaptive,
         });
         let worker = {
@@ -191,46 +161,19 @@ impl Batcher {
         Batcher { shared, worker: Some(worker) }
     }
 
-    /// The similarity column `[S]_{*,node}`, from cache or a (possibly
-    /// coalesced) model evaluation.  Blocks up to `timeout`.
-    pub fn column(&self, node: usize, timeout: Duration) -> Result<Column, ColumnError> {
-        self.column_rank(node, None, timeout)
-    }
-
-    /// [`Batcher::column`] at an optional truncated rank.  `Some(t)`
-    /// evaluates only the leading `t` factor columns — the
-    /// pressure-degraded path — and deliberately bypasses the cache in
-    /// both directions: a truncated column must never be served to (or
-    /// pollute) full-rank requests.  A rank at or above the model's is
-    /// normalised back to the full-rank path, so over-asking degrades
-    /// nothing.
-    pub fn column_rank(
-        &self,
-        node: usize,
-        rank: Option<usize>,
-        timeout: Duration,
-    ) -> Result<Column, ColumnError> {
-        self.column_rank_at(self.shared.handle.load(), node, rank, timeout)
-    }
-
-    /// [`Batcher::column_rank`] against an explicit, already-loaded
-    /// snapshot: the one-node case of [`Batcher::columns_rank_at`].
-    pub fn column_rank_at(
-        &self,
-        snapshot: Arc<Snapshot>,
-        node: usize,
-        rank: Option<usize>,
-        timeout: Duration,
-    ) -> Result<Column, ColumnError> {
-        let mut columns = self.columns_rank_at(snapshot, &[node], rank, timeout)?;
-        Ok(columns.pop().expect("one column per node"))
-    }
-
     /// The columns `[S]_{*,nodes}` (in `nodes` order) against an
-    /// explicit, already-loaded snapshot — the request-scoped entry
-    /// point: the server loads the handle once per request and passes
-    /// the same snapshot here and to the renderer, so the whole response
-    /// belongs to one epoch.
+    /// explicit, already-loaded snapshot, from cache or a (possibly
+    /// coalesced) model evaluation, waiting up to `timeout`.  The server
+    /// loads the handle once per request and passes the same snapshot
+    /// here and to the renderer, so the whole response belongs to one
+    /// epoch.
+    ///
+    /// `rank: Some(t)` evaluates only the leading `t` factor columns —
+    /// the pressure-degraded path — and deliberately bypasses the cache
+    /// in both directions: a truncated column must never be served to
+    /// (or pollute) full-rank requests.  A rank at or above the model's
+    /// is normalised back to the full-rank path, so over-asking degrades
+    /// nothing.
     ///
     /// Every node is bounds-checked before anything is enqueued.  Cache
     /// hits are taken first; the distinct misses are enqueued together
@@ -238,7 +181,7 @@ impl Batcher {
     /// one deduplicated multi-source evaluation (the paper's one pass
     /// over `Z` for all of `Q`) instead of `|Q|` round trips, and every
     /// reply is awaited against one deadline.
-    pub fn columns_rank_at(
+    pub fn columns(
         &self,
         snapshot: Arc<Snapshot>,
         nodes: &[usize],
@@ -415,15 +358,11 @@ fn evaluate_group(
         }
     }
     shared.metrics.batched_requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
-    let eval_rank = rank.unwrap_or_else(|| model.rank());
-    let columns = match shared.rows {
-        // A shard evaluates (and caches) only its own row slice; each
-        // partial entry is the same dot product the full path computes,
-        // so slices concatenate bitwise into the single-process column.
-        Some((lo, hi)) => model.query_columns_range_rank_into(&nodes, lo, hi, eval_rank, scratch),
-        None => model.query_columns_rank_into(&nodes, eval_rank, scratch),
-    };
-    match columns {
+    // A shard evaluates (and caches) only its own row slice; each partial
+    // entry is the same dot product the full path computes, so slices
+    // concatenate bitwise into the single-process column.
+    let query = Query { sources: &nodes, rows: shared.rows.clone(), rank };
+    match model.columns_into(&query, scratch) {
         Ok(columns) => {
             shared.metrics.model_evaluations.fetch_add(1, Ordering::Relaxed);
             shared.metrics.batch_sizes.observe(nodes.len() as u64);
@@ -458,32 +397,61 @@ mod tests {
     use csrplus_core::CsrPlusConfig;
     use csrplus_graph::{generators::figure1_graph, TransitionMatrix};
 
-    fn model() -> Arc<CsrPlusModel> {
-        let t = TransitionMatrix::from_graph(&figure1_graph());
-        Arc::new(CsrPlusModel::precompute(&t, &CsrPlusConfig::with_rank(3)).unwrap())
-    }
-
-    fn batcher(
-        max_batch: usize,
-        linger: Duration,
-        cache_capacity: usize,
-    ) -> (Batcher, Arc<Metrics>, Arc<CsrPlusModel>) {
-        let metrics = Arc::new(Metrics::new());
-        let m = model();
-        let handle = Arc::new(SnapshotHandle::new(Arc::clone(&m)));
-        let cache = Arc::new(ColumnCache::new(cache_capacity, 2, Arc::clone(&metrics)));
-        (Batcher::new(handle, cache, Arc::clone(&metrics), max_batch, linger), metrics, m)
-    }
-
     const TIMEOUT: Duration = Duration::from_secs(10);
+
+    fn fig1() -> CsrPlusModel {
+        let t = TransitionMatrix::from_graph(&figure1_graph());
+        CsrPlusModel::precompute(&t, &CsrPlusConfig::with_rank(3)).unwrap()
+    }
+
+    /// A 40-node model, so one request can name many distinct nodes.
+    fn wide() -> CsrPlusModel {
+        let t = TransitionMatrix::from_graph(
+            &csrplus_graph::generators::erdos_renyi(40, 160, 7).unwrap(),
+        );
+        CsrPlusModel::precompute(&t, &CsrPlusConfig::with_rank(4)).unwrap()
+    }
+
+    /// A batcher plus the epoch-0 snapshot its requests are pinned to.
+    struct Rig {
+        b: Batcher,
+        metrics: Arc<Metrics>,
+        snapshot: Arc<Snapshot>,
+    }
+
+    impl Rig {
+        fn new(m: CsrPlusModel, max_batch: usize, linger: Duration, cache_capacity: usize) -> Rig {
+            let metrics = Arc::new(Metrics::new());
+            let cache = Arc::new(ColumnCache::new(cache_capacity, 2, Arc::clone(&metrics)));
+            let b = Batcher::new(cache, Arc::clone(&metrics), max_batch, linger, None, None);
+            Rig { b, metrics, snapshot: Arc::new(Snapshot::new(0, Arc::new(m))) }
+        }
+
+        fn model(&self) -> &CsrPlusModel {
+            self.snapshot.model()
+        }
+
+        fn many(&self, nodes: &[usize]) -> Result<Vec<Column>, ColumnError> {
+            self.b.columns(Arc::clone(&self.snapshot), nodes, None, TIMEOUT)
+        }
+
+        /// One node's column at `rank`.
+        fn column(&self, node: usize, rank: Option<usize>) -> Result<Column, ColumnError> {
+            Ok(self.b.columns(Arc::clone(&self.snapshot), &[node], rank, TIMEOUT)?.remove(0))
+        }
+
+        fn evaluations(&self) -> u64 {
+            self.metrics.model_evaluations.load(Ordering::Relaxed)
+        }
+    }
 
     #[test]
     fn single_request_matches_single_source() {
-        let (b, metrics, m) = batcher(4, Duration::from_micros(100), 0);
-        let col = b.column(1, TIMEOUT).unwrap();
-        let expected = m.single_source(1).unwrap();
+        let rig = Rig::new(fig1(), 4, Duration::from_micros(100), 0);
+        let col = rig.column(1, None).unwrap();
+        let expected = rig.model().single_source(1).unwrap();
         assert_eq!(&col[..], &expected[..], "batched column must be bitwise equal");
-        assert_eq!(metrics.model_evaluations.load(Ordering::Relaxed), 1);
+        assert_eq!(rig.evaluations(), 1);
     }
 
     #[test]
@@ -491,59 +459,58 @@ mod tests {
         // Long linger + max_batch = K: the batch fires exactly when the
         // K-th request arrives, so the count is deterministic.
         const K: usize = 4;
-        let (b, metrics, m) = batcher(K, Duration::from_secs(30), 0);
-        let b = Arc::new(b);
+        let rig = Arc::new(Rig::new(fig1(), K, Duration::from_secs(30), 0));
         let handles: Vec<_> = (0..K)
             .map(|node| {
-                let b = Arc::clone(&b);
-                std::thread::spawn(move || b.column(node, TIMEOUT).unwrap())
+                let rig = Arc::clone(&rig);
+                std::thread::spawn(move || rig.column(node, None).unwrap())
             })
             .collect();
         let columns: Vec<Column> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert_eq!(metrics.model_evaluations.load(Ordering::Relaxed), 1, "one coalesced pass");
+        let metrics = &rig.metrics;
+        assert_eq!(rig.evaluations(), 1, "one coalesced pass");
         assert_eq!(metrics.batched_requests.load(Ordering::Relaxed), K as u64);
         assert_eq!(metrics.batch_sizes.count(), 1);
         assert_eq!(metrics.batch_sizes.sum(), K as u64);
         for (node, col) in columns.iter().enumerate() {
-            let expected = m.single_source(node).unwrap();
+            let expected = rig.model().single_source(node).unwrap();
             assert_eq!(&col[..], &expected[..], "node {node} column must be bitwise equal");
         }
     }
 
     #[test]
     fn duplicate_nodes_deduplicate_within_a_batch() {
-        let (b, metrics, _m) = batcher(3, Duration::from_secs(30), 0);
-        let b = Arc::new(b);
+        let rig = Arc::new(Rig::new(fig1(), 3, Duration::from_secs(30), 0));
         let handles: Vec<_> = [2usize, 2, 2]
             .into_iter()
             .map(|node| {
-                let b = Arc::clone(&b);
-                std::thread::spawn(move || b.column(node, TIMEOUT).unwrap())
+                let rig = Arc::clone(&rig);
+                std::thread::spawn(move || rig.column(node, None).unwrap())
             })
             .collect();
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(metrics.model_evaluations.load(Ordering::Relaxed), 1);
+        assert_eq!(rig.evaluations(), 1);
         // Three requests, one deduplicated query node.
-        assert_eq!(metrics.batched_requests.load(Ordering::Relaxed), 3);
-        assert_eq!(metrics.batch_sizes.sum(), 1);
+        assert_eq!(rig.metrics.batched_requests.load(Ordering::Relaxed), 3);
+        assert_eq!(rig.metrics.batch_sizes.sum(), 1);
     }
 
     #[test]
     fn cache_hit_skips_the_batcher() {
-        let (b, metrics, _m) = batcher(4, Duration::from_micros(100), 8);
-        b.column(1, TIMEOUT).unwrap();
-        b.column(1, TIMEOUT).unwrap();
-        assert_eq!(metrics.model_evaluations.load(Ordering::Relaxed), 1);
-        assert_eq!(metrics.cache_hits.load(Ordering::Relaxed), 1);
-        assert_eq!(metrics.cache_misses.load(Ordering::Relaxed), 1);
+        let rig = Rig::new(fig1(), 4, Duration::from_micros(100), 8);
+        rig.column(1, None).unwrap();
+        rig.column(1, None).unwrap();
+        assert_eq!(rig.evaluations(), 1);
+        assert_eq!(rig.metrics.cache_hits.load(Ordering::Relaxed), 1);
+        assert_eq!(rig.metrics.cache_misses.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn out_of_bounds_node_fails_fast() {
-        let (b, _metrics, _m) = batcher(4, Duration::from_micros(100), 0);
-        match b.column(99, TIMEOUT) {
+        let rig = Rig::new(fig1(), 4, Duration::from_micros(100), 0);
+        match rig.column(99, None) {
             Err(ColumnError::Failed(msg)) => assert!(msg.contains("99"), "{msg}"),
             other => panic!("expected Failed, got {other:?}"),
         }
@@ -552,96 +519,80 @@ mod tests {
     #[test]
     fn linger_deadline_fires_partial_batches() {
         // max_batch 64 never fills; the 5 ms linger must fire the batch.
-        let (b, metrics, _m) = batcher(64, Duration::from_millis(5), 0);
-        let col = b.column(3, TIMEOUT).unwrap();
+        let rig = Rig::new(fig1(), 64, Duration::from_millis(5), 0);
+        let col = rig.column(3, None).unwrap();
         assert_eq!(col.len(), 6);
-        assert_eq!(metrics.model_evaluations.load(Ordering::Relaxed), 1);
+        assert_eq!(rig.evaluations(), 1);
     }
 
     #[test]
     fn shutdown_rejects_new_requests() {
-        let (b, _metrics, _m) = batcher(4, Duration::from_micros(100), 0);
-        b.begin_shutdown();
-        assert_eq!(b.column(1, TIMEOUT).unwrap_err(), ColumnError::ShuttingDown);
+        let rig = Rig::new(fig1(), 4, Duration::from_micros(100), 0);
+        rig.b.begin_shutdown();
+        assert_eq!(rig.column(1, None).unwrap_err(), ColumnError::ShuttingDown);
     }
 
-    /// A 40-node model, so one request can name many distinct nodes.
-    fn wide_batcher(cache_capacity: usize) -> (Batcher, Arc<Metrics>, Arc<CsrPlusModel>) {
-        let t = TransitionMatrix::from_graph(
-            &csrplus_graph::generators::erdos_renyi(40, 160, 7).unwrap(),
-        );
-        let m = Arc::new(CsrPlusModel::precompute(&t, &CsrPlusConfig::with_rank(4)).unwrap());
-        let metrics = Arc::new(Metrics::new());
-        let handle = Arc::new(SnapshotHandle::new(Arc::clone(&m)));
-        let cache = Arc::new(ColumnCache::new(cache_capacity, 2, Arc::clone(&metrics)));
-        let b = Batcher::new(handle, cache, Arc::clone(&metrics), 32, Duration::from_micros(200));
-        (b, metrics, m)
-    }
-
-    fn many(b: &Batcher, nodes: &[usize]) -> Result<Vec<Column>, ColumnError> {
-        b.columns_rank_at(b.shared.handle.load(), nodes, None, TIMEOUT)
-    }
-
-    fn evaluations(metrics: &Metrics) -> u64 {
-        metrics.model_evaluations.load(Ordering::Relaxed)
+    fn wide_rig(cache_capacity: usize) -> Rig {
+        Rig::new(wide(), 32, Duration::from_micros(200), cache_capacity)
     }
 
     #[test]
     fn duplicate_nodes_in_one_request_are_evaluated_once() {
-        let (b, metrics, m) = wide_batcher(0);
+        let rig = wide_rig(0);
         let nodes = [5, 7, 5, 5, 7, 2];
-        let columns = many(&b, &nodes).unwrap();
-        assert_eq!(evaluations(&metrics), 1);
-        assert_eq!(metrics.batch_sizes.sum(), 3, "three distinct nodes");
-        assert_eq!(metrics.batched_requests.load(Ordering::Relaxed), 3);
+        let columns = rig.many(&nodes).unwrap();
+        assert_eq!(rig.evaluations(), 1);
+        assert_eq!(rig.metrics.batch_sizes.sum(), 3, "three distinct nodes");
+        assert_eq!(rig.metrics.batched_requests.load(Ordering::Relaxed), 3);
         for (&q, col) in nodes.iter().zip(&columns) {
-            assert_eq!(&col[..], &m.single_source(q).unwrap()[..], "node {q}");
+            assert_eq!(&col[..], &rig.model().single_source(q).unwrap()[..], "node {q}");
         }
         assert!(Arc::ptr_eq(&columns[0], &columns[2]), "duplicates share one column");
     }
 
     #[test]
     fn a_partly_cached_list_evaluates_only_its_misses() {
-        let (b, metrics, m) = wide_batcher(64);
-        many(&b, &[1, 2]).unwrap();
-        assert_eq!(evaluations(&metrics), 1);
+        let rig = wide_rig(64);
+        rig.many(&[1, 2]).unwrap();
+        assert_eq!(rig.evaluations(), 1);
         let nodes = [4, 1, 6, 2];
-        let columns = many(&b, &nodes).unwrap();
-        assert_eq!(evaluations(&metrics), 2);
-        assert_eq!(metrics.batch_sizes.sum(), 2 + 2, "second pass held only 4 and 6");
-        assert_eq!(metrics.cache_hits.load(Ordering::Relaxed), 2);
+        let columns = rig.many(&nodes).unwrap();
+        assert_eq!(rig.evaluations(), 2);
+        assert_eq!(rig.metrics.batch_sizes.sum(), 2 + 2, "second pass held only 4 and 6");
+        assert_eq!(rig.metrics.cache_hits.load(Ordering::Relaxed), 2);
         for (&q, col) in nodes.iter().zip(&columns) {
-            assert_eq!(&col[..], &m.single_source(q).unwrap()[..], "node {q}");
+            assert_eq!(&col[..], &rig.model().single_source(q).unwrap()[..], "node {q}");
         }
         // Fully cached: no evaluation at all.
-        many(&b, &[6, 4, 2, 1]).unwrap();
-        assert_eq!(evaluations(&metrics), 2);
+        rig.many(&[6, 4, 2, 1]).unwrap();
+        assert_eq!(rig.evaluations(), 2);
     }
 
     #[test]
     fn an_out_of_bounds_node_anywhere_fails_before_enqueueing() {
-        let (b, metrics, m) = wide_batcher(64);
+        let rig = wide_rig(64);
         for nodes in [&[40, 1, 2][..], &[1, 2, 99], &[1, usize::MAX, 2]] {
-            match many(&b, nodes) {
+            match rig.many(nodes) {
                 Err(ColumnError::Failed(msg)) => assert!(msg.contains("out of"), "{msg}"),
                 other => panic!("expected Failed for {nodes:?}, got {other:?}"),
             }
         }
-        assert_eq!(evaluations(&metrics), 0, "nothing was enqueued");
+        let metrics = &rig.metrics;
+        assert_eq!(rig.evaluations(), 0, "nothing was enqueued");
         assert_eq!(metrics.batched_requests.load(Ordering::Relaxed), 0);
         assert_eq!(metrics.cache_misses.load(Ordering::Relaxed), 0, "no cache lookups either");
         // The batcher keeps serving.
-        let columns = many(&b, &[1, 2]).unwrap();
-        assert_eq!(&columns[1][..], &m.single_source(2).unwrap()[..]);
-        assert_eq!(evaluations(&metrics), 1);
+        let columns = rig.many(&[1, 2]).unwrap();
+        assert_eq!(&columns[1][..], &rig.model().single_source(2).unwrap()[..]);
+        assert_eq!(rig.evaluations(), 1);
     }
 
     #[test]
     fn a_many_node_request_after_shutdown_is_refused() {
-        let (b, metrics, _m) = wide_batcher(64);
-        b.begin_shutdown();
-        assert_eq!(many(&b, &[1, 2]).unwrap_err(), ColumnError::ShuttingDown);
-        assert_eq!(metrics.batched_requests.load(Ordering::Relaxed), 0);
+        let rig = wide_rig(64);
+        rig.b.begin_shutdown();
+        assert_eq!(rig.many(&[1, 2]).unwrap_err(), ColumnError::ShuttingDown);
+        assert_eq!(rig.metrics.batched_requests.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -662,26 +613,17 @@ mod tests {
         // concurrently; every reply must still be the exact column.
         const THREADS: usize = 16;
         const REQUESTS: usize = 25;
-        let metrics = Arc::new(Metrics::new());
-        let m = model();
-        let handle = Arc::new(SnapshotHandle::new(Arc::clone(&m)));
-        let cache = Arc::new(ColumnCache::new(2, 2, Arc::clone(&metrics)));
-        let b = Arc::new(Batcher::new(
-            handle,
-            cache,
-            Arc::clone(&metrics),
-            3,
-            Duration::from_micros(50),
-        ));
+        let rig = Arc::new(Rig::new(fig1(), 3, Duration::from_micros(50), 2));
+        let m = rig.model();
         let expected: Vec<Vec<f64>> = (0..m.n()).map(|q| m.single_source(q).unwrap()).collect();
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
-                let b = Arc::clone(&b);
+                let rig = Arc::clone(&rig);
                 let expected = expected.clone();
                 std::thread::spawn(move || {
                     for i in 0..REQUESTS {
                         let node = (t * 7 + i * 3) % expected.len();
-                        let col = b.column(node, TIMEOUT).unwrap();
+                        let col = rig.column(node, None).unwrap();
                         assert_eq!(&col[..], &expected[node][..], "node {node} column corrupted");
                     }
                 })
@@ -690,47 +632,44 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let answered = metrics.cache_hits.load(Ordering::Relaxed)
-            + metrics.batched_requests.load(Ordering::Relaxed);
+        let answered = rig.metrics.cache_hits.load(Ordering::Relaxed)
+            + rig.metrics.batched_requests.load(Ordering::Relaxed);
         assert_eq!(answered, (THREADS * REQUESTS) as u64, "every request answered exactly once");
     }
 
     #[test]
     fn degraded_rank_bypasses_the_cache_both_ways() {
-        let (b, metrics, m) = batcher(4, Duration::from_micros(100), 8);
+        let rig = Rig::new(fig1(), 4, Duration::from_micros(100), 8);
         // Warm the cache with the full-rank column.
-        let full = b.column(1, TIMEOUT).unwrap();
-        assert_eq!(metrics.model_evaluations.load(Ordering::Relaxed), 1);
+        let full = rig.column(1, None).unwrap();
+        assert_eq!(rig.evaluations(), 1);
         // A degraded request must not be served the cached full column…
-        let truncated = b.column_rank(1, Some(1), TIMEOUT).unwrap();
-        assert_eq!(metrics.model_evaluations.load(Ordering::Relaxed), 2, "cache read bypassed");
+        let truncated = rig.column(1, Some(1)).unwrap();
+        assert_eq!(rig.evaluations(), 2, "cache read bypassed");
         assert_ne!(&full[..], &truncated[..], "rank-1 column differs from rank-3");
         let mut scratch = csrplus_core::DenseMatrix::zeros(0, 0);
-        let expected = m.query_columns_rank_into(&[1], 1, &mut scratch).unwrap();
+        let plan = Query { rank: Some(1), ..Query::new(&[1]) };
+        let expected = rig.model().columns_into(&plan, &mut scratch).unwrap();
         assert_eq!(&truncated[..], &expected[0][..], "truncated column bitwise exact");
-        assert_eq!(metrics.degraded_requests.load(Ordering::Relaxed), 1);
-        assert_eq!(metrics.served_rank.count(), 1);
+        assert_eq!(rig.metrics.degraded_requests.load(Ordering::Relaxed), 1);
+        assert_eq!(rig.metrics.served_rank.count(), 1);
         // …and must not have displaced or overwritten the cached one.
-        let again = b.column(1, TIMEOUT).unwrap();
-        assert_eq!(
-            metrics.model_evaluations.load(Ordering::Relaxed),
-            2,
-            "full column still cached"
-        );
+        let again = rig.column(1, None).unwrap();
+        assert_eq!(rig.evaluations(), 2, "full column still cached");
         assert_eq!(&again[..], &full[..]);
     }
 
     #[test]
     fn rank_at_or_above_the_models_is_the_full_rank_path() {
-        let (b, metrics, _m) = batcher(4, Duration::from_micros(100), 8);
-        let full = b.column(2, TIMEOUT).unwrap();
+        let rig = Rig::new(fig1(), 4, Duration::from_micros(100), 8);
+        let full = rig.column(2, None).unwrap();
         // Over-asking normalises to None: served from cache, not degraded.
-        let over = b.column_rank(2, Some(3), TIMEOUT).unwrap();
-        let way_over = b.column_rank(2, Some(usize::MAX), TIMEOUT).unwrap();
+        let over = rig.column(2, Some(3)).unwrap();
+        let way_over = rig.column(2, Some(usize::MAX)).unwrap();
         assert_eq!(&over[..], &full[..]);
         assert_eq!(&way_over[..], &full[..]);
-        assert_eq!(metrics.model_evaluations.load(Ordering::Relaxed), 1, "cache served both");
-        assert_eq!(metrics.degraded_requests.load(Ordering::Relaxed), 0);
+        assert_eq!(rig.evaluations(), 1, "cache served both");
+        assert_eq!(rig.metrics.degraded_requests.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -738,68 +677,50 @@ mod tests {
         // Two waiters holding different snapshots land in one linger
         // window; the batcher must answer each against its own model —
         // two groups, two evaluations — even though the node is shared.
-        let metrics = Arc::new(Metrics::new());
-        let m = model();
-        let handle = Arc::new(SnapshotHandle::new(Arc::clone(&m)));
-        let old = handle.load();
-        handle.publish(Arc::clone(&m));
-        let new = handle.load();
-        assert_ne!(old.epoch(), new.epoch());
-        let cache = Arc::new(ColumnCache::new(8, 2, Arc::clone(&metrics)));
-        let b = Arc::new(Batcher::new(
-            Arc::clone(&handle),
-            cache,
-            Arc::clone(&metrics),
-            2,
-            Duration::from_secs(30),
-        ));
+        let rig = Arc::new(Rig::new(fig1(), 2, Duration::from_secs(30), 8));
+        let old = Arc::clone(&rig.snapshot);
+        let new = Arc::new(Snapshot::new(1, Arc::clone(old.model_arc())));
         let handles: Vec<_> = [old, new]
             .into_iter()
             .map(|snap| {
-                let b = Arc::clone(&b);
-                std::thread::spawn(move || b.column_rank_at(snap, 1, None, TIMEOUT).unwrap())
+                let rig = Arc::clone(&rig);
+                std::thread::spawn(move || rig.b.columns(snap, &[1], None, TIMEOUT).unwrap())
             })
             .collect();
-        let cols: Vec<Column> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert_eq!(metrics.model_evaluations.load(Ordering::Relaxed), 2, "one pass per epoch");
-        let expected = m.single_source(1).unwrap();
+        let cols: Vec<Column> = handles.into_iter().map(|h| h.join().unwrap().remove(0)).collect();
+        assert_eq!(rig.evaluations(), 2, "one pass per epoch");
+        let expected = rig.model().single_source(1).unwrap();
         for col in cols {
             assert_eq!(&col[..], &expected[..]);
         }
         // Both epochs' columns were cached under their own tags: an
         // epoch-1 read hits without touching the epoch-0 entry.
-        assert!(b.shared.cache.get(1, new_epoch(&handle)).is_some());
-    }
-
-    fn new_epoch(handle: &SnapshotHandle) -> u64 {
-        handle.epoch()
+        assert!(rig.b.shared.cache.get(1, 1).is_some());
     }
 
     #[test]
     fn mixed_rank_batches_group_by_rank() {
         // One batch holding full-rank and two distinct truncated ranks:
         // three groups, three evaluations, every waiter answered right.
-        let (b, metrics, m) = batcher(6, Duration::from_secs(30), 0);
-        let b = Arc::new(b);
+        let rig = Arc::new(Rig::new(fig1(), 6, Duration::from_secs(30), 0));
         let requests: Vec<(usize, Option<usize>)> =
             vec![(0, None), (1, Some(1)), (2, Some(2)), (3, None), (1, Some(2)), (4, Some(1))];
         let handles: Vec<_> = requests
             .iter()
             .map(|&(node, rank)| {
-                let b = Arc::clone(&b);
-                std::thread::spawn(move || {
-                    (node, rank, b.column_rank(node, rank, TIMEOUT).unwrap())
-                })
+                let rig = Arc::clone(&rig);
+                std::thread::spawn(move || (node, rank, rig.column(node, rank).unwrap()))
             })
             .collect();
         let mut scratch = csrplus_core::DenseMatrix::zeros(0, 0);
         for h in handles {
             let (node, rank, col) = h.join().unwrap();
-            let t = rank.unwrap_or_else(|| m.rank());
-            let expected = m.query_columns_rank_into(&[node], t, &mut scratch).unwrap();
-            assert_eq!(&col[..], &expected[0][..], "node {node} rank {rank:?}");
+            let source = [node];
+            let expected =
+                rig.model().columns_into(&Query { rank, ..Query::new(&source) }, &mut scratch);
+            assert_eq!(&col[..], &expected.unwrap()[0][..], "node {node} rank {rank:?}");
         }
-        assert_eq!(metrics.model_evaluations.load(Ordering::Relaxed), 3, "one pass per rank group");
-        assert_eq!(metrics.degraded_requests.load(Ordering::Relaxed), 4);
+        assert_eq!(rig.evaluations(), 3, "one pass per rank group");
+        assert_eq!(rig.metrics.degraded_requests.load(Ordering::Relaxed), 4);
     }
 }

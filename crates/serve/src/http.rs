@@ -1,6 +1,6 @@
-//! Minimal std-only HTTP/1.1 plumbing shared by the pooled and legacy
-//! servers: request-line reading, query-string parsing with
-//! percent-decoding and duplicate-parameter rejection, and response
+//! Minimal std-only HTTP/1.1 plumbing for the server, its shard wire
+//! protocol and its tests: request-line reading, query-string parsing
+//! with percent-decoding and duplicate-parameter rejection, and response
 //! writing.
 
 use std::fmt::Write as _;
@@ -165,9 +165,8 @@ pub fn read_request_with_body<R: Read>(stream: R) -> std::io::Result<RawRequest>
 }
 
 /// Parses a request line like [`parse_request_line`] but accepts the
-/// listed methods, returning `(method, target)`.  The pooled server
-/// uses this to admit `POST /edges`; the legacy server and all public
-/// query routes stay strictly `GET`.
+/// listed methods, returning `(method, target)`.  The server uses this
+/// to admit `POST /edges`; all query routes stay strictly `GET`.
 pub fn parse_request_line_methods(
     request_line: &str,
     methods: &[&str],

@@ -20,11 +20,11 @@
 //! * [`metrics`] — counters, per-route latency histograms and the batch
 //!   size distribution, exposed at `GET /metrics`.
 //!
-//! [`server`] assembles them behind the same routes the original toy
-//! server exposed (`/health`, `/similarity`, `/topk`, `/query`), with
-//! per-request socket timeouts and graceful, queue-draining shutdown.
-//! [`legacy`] preserves that original sequential server for comparison
-//! benchmarks and as a `--legacy` escape hatch.
+//! [`server`] assembles them behind the query routes (`/health`,
+//! `/similarity`, `/topk`, `/query`), with per-request socket timeouts
+//! and graceful, queue-draining shutdown.  Every query body is the
+//! model's own answer rendered by [`render`]: one way to compute each
+//! answer, whatever the batching, caching or sharding.
 //!
 //! For horizontal scale-out the same server runs in two more roles:
 //! a **shard** (`ServeConfig::shard_rows`) serving one contiguous slice
@@ -47,7 +47,6 @@ pub mod coordinator;
 pub mod gauge;
 pub mod http;
 pub mod ingest;
-pub mod legacy;
 pub mod metrics;
 pub mod pool;
 pub mod render;

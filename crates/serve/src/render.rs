@@ -1,9 +1,10 @@
-//! JSON response bodies, shared by the pooled and legacy servers so both
-//! paths produce byte-identical output for identical scores.
+//! JSON response bodies: every route, in every server role, renders
+//! through these functions, so identical scores give byte-identical
+//! output.
 //!
 //! Every body is streamed front to back into one reserved buffer by one
 //! small private JSON writer.  Integers go through their `Display` impls;
-//! scores go through [`f64fmt`], a Ryū shortest round-trip writer whose
+//! scores go through `f64fmt`, a Ryū shortest round-trip writer whose
 //! output is byte-identical to `f64`'s `Display` (`format!("{v}")`) at
 //! well under half of `core::fmt`'s cost per value — and formatting
 //! scores is most of what rendering a `/query` body costs.  Its tests
@@ -411,7 +412,7 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn bodies_match_the_legacy_shapes() {
+    fn bodies_have_the_pinned_shapes() {
         assert_eq!(health(6, 3), "{\"status\":\"ok\",\"nodes\":6,\"rank\":3}");
         assert_eq!(similarity(1, 3, 0.5), "{\"a\":1,\"b\":3,\"similarity\":0.5}");
         assert_eq!(

@@ -3,9 +3,10 @@
 //! [`cache`](crate::cache) behind the query routes and [`Metrics`] at
 //! `GET /metrics`.
 //!
-//! Routes are the same as the legacy server (`/health`, `/similarity`,
-//! `/topk`, `/query`) plus `/metrics`; bodies for identical scores are
-//! byte-identical to the legacy ones (shared [`crate::render`]).
+//! Routes: `/health`, `/similarity`, `/topk`, `/query` and `/metrics`
+//! (plus the `/shard/*` routes and `POST /edges` in their roles).  Every
+//! query body is byte-identical to rendering [`CsrPlusModel`]'s own
+//! answer through [`crate::render`].
 //!
 //! Every request loads one epoch-versioned snapshot from the
 //! [`SnapshotHandle`] up front and answers entirely against it, so a
@@ -203,15 +204,13 @@ impl Server {
             }
         }
         let engine = if config.shards.is_empty() {
-            Engine::Local(Batcher::with_policies(
-                Arc::clone(&handle),
+            Engine::Local(Batcher::new(
                 Arc::clone(&cache),
                 Arc::clone(&metrics),
                 config.max_batch,
                 config.linger,
                 config.shard_rows,
-                Some(Arc::clone(&gauge)),
-                config.adaptive_linger,
+                config.adaptive_linger.then(|| Arc::clone(&gauge)),
             ))
         } else {
             Engine::Sharded(Box::new(
@@ -387,7 +386,8 @@ fn accept_loop(
             }
             drop(job);
         }
-        // Failed accepts deliberately don't count (see legacy notes).
+        // Failed accepts deliberately don't count: a server bombarded
+        // with bad connections must not exit before serving anything.
         let served_now = served.fetch_add(1, Ordering::SeqCst) + 1;
         if let Some(max) = max_requests {
             if served_now >= max {
@@ -510,7 +510,7 @@ fn answer(
             unreachable!("columns() is only called on local engines")
         };
         let remaining = ctx.timeout.saturating_sub(start.elapsed());
-        batcher.columns_rank_at(Arc::clone(snapshot), nodes, rank, remaining).map_err(status)
+        batcher.columns(Arc::clone(snapshot), nodes, rank, remaining).map_err(status)
     };
     let column = |node: usize, rank: Option<usize>| -> Result<Column, (u16, String)> {
         Ok(columns(&[node], rank)?.remove(0))
@@ -737,6 +737,10 @@ mod tests {
         let (code, body) = get(addr, "/similarity?a=1&b=3");
         assert_eq!(code, 200);
         assert!(body.starts_with("{\"a\":1,\"b\":3,"), "{body}");
+        // S[b,d] ≈ 0.485 from the worked example.
+        let value: f64 =
+            body.split("\"similarity\":").nth(1).unwrap().trim_end_matches('}').parse().unwrap();
+        assert!((value - 0.485).abs() < 0.02, "{value}");
 
         let (code, body) = get(addr, "/topk?node=1&k=2");
         assert_eq!(code, 200);
@@ -769,10 +773,35 @@ mod tests {
     }
 
     #[test]
-    fn pooled_answers_match_legacy_byte_for_byte() {
+    fn bad_requests_answer_400_and_unknown_paths_404() {
+        let handle = Server::start(model(), 0, ServeConfig::default()).unwrap();
+        let addr = handle.addr();
+        for path in [
+            "/similarity?a=1",
+            "/similarity?a=1&b=x",
+            "/topk?node=99",
+            "/query?nodes=1,,3",
+            "/similarity?a=1&a=2&b=3",
+        ] {
+            assert_eq!(get(addr, path).0, 400, "{path}");
+        }
+        assert_eq!(get(addr, "/nope").0, 404);
+        let (code, _) = wire::post(&addr.to_string(), "/health", "", POST_WAIT).unwrap();
+        assert_eq!(code, 400, "POST /health");
+        handle.shutdown();
+    }
+
+    /// The `/query` body of the model's own full-rank answer.
+    fn query_body(m: &CsrPlusModel, nodes: &[usize]) -> String {
+        let columns = m.query_columns(nodes).unwrap();
+        render::query(nodes, &columns.iter().map(Vec::as_slice).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn pooled_answers_match_the_model_byte_for_byte() {
         let m = model();
-        let expected_sim = crate::legacy::route(&m, "GET /similarity?a=1&b=3 HTTP/1.1").unwrap();
-        let expected_query = crate::legacy::route(&m, "GET /query?nodes=1,3 HTTP/1.1").unwrap();
+        let expected_sim = render::similarity(1, 3, m.similarity(1, 3).unwrap());
+        let expected_query = query_body(&m, &[1, 3]);
         let handle = Server::start(m, 0, ServeConfig::default()).unwrap();
         let (_, sim) = get(handle.addr(), "/similarity?a=1&b=3");
         let (_, query) = get(handle.addr(), "/query?nodes=1,3");
@@ -785,10 +814,10 @@ mod tests {
     fn opt_in_parameters_are_inert_when_policies_are_off() {
         // The tentpole's safety contract: with every adaptive policy at
         // its default (off), responses — including ones that *ask* to be
-        // degraded — are byte-identical to the legacy server's.
+        // degraded — are byte-identical to the model's exact answer.
         let m = model();
-        let expected_topk = crate::legacy::route(&m, "GET /topk?node=1&k=3 HTTP/1.1").unwrap();
-        let expected_query = crate::legacy::route(&m, "GET /query?nodes=1,3 HTTP/1.1").unwrap();
+        let expected_topk = render::topk(1, &m.top_k(1, 3).unwrap());
+        let expected_query = query_body(&m, &[1, 3]);
         let handle = Server::start(m, 0, ServeConfig::default()).unwrap();
         let addr = handle.addr();
         let (code, topk) = get(addr, "/topk?node=1&k=3&degraded=allow&max_rank=1");
@@ -804,7 +833,7 @@ mod tests {
     #[test]
     fn degraded_requests_report_served_rank_and_leave_others_untouched() {
         let m = model();
-        let expected_query = crate::legacy::route(&m, "GET /query?nodes=1 HTTP/1.1").unwrap();
+        let expected_query = query_body(&m, &[1]);
         let config =
             ServeConfig { degrade_rank: Some(1), degrade_watermark: 0, ..ServeConfig::default() };
         let handle = Server::start(m, 0, config).unwrap();
@@ -895,10 +924,7 @@ mod tests {
         let nodes = [3usize, 9, 14, 20, 27, 31, 35, 39];
         let list: Vec<String> = nodes.iter().map(usize::to_string).collect();
         let path = format!("/query?nodes={}", list.join("%2C"));
-        let mut scratch = csrplus_core::DenseMatrix::zeros(0, 0);
-        let columns = m.query_columns_into(&nodes, &mut scratch).unwrap();
-        let views: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
-        let expected = render::query(&nodes, &views);
+        let expected = query_body(&m, &nodes);
 
         let handle = Server::start(m.clone(), 0, ServeConfig::default()).unwrap();
         let (code, body) = get(handle.addr(), &path);

@@ -1,12 +1,12 @@
 //! End-to-end proof of the tentpole property: `K` concurrent HTTP
 //! requests for distinct nodes coalesce into **one** multi-source model
 //! evaluation (observable via the `/metrics` evaluation counter) while
-//! every client receives the byte-identical body an unbatched server
-//! would have produced.
+//! every client receives the byte-identical body of the model's own
+//! unbatched answer.
 
 use csrplus_core::{CsrPlusConfig, CsrPlusModel};
 use csrplus_graph::{generators::figure1_graph, TransitionMatrix};
-use csrplus_serve::{legacy, ServeConfig, Server};
+use csrplus_serve::{render, ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
@@ -74,11 +74,10 @@ fn concurrent_http_requests_coalesce_into_one_evaluation() {
     let answers: Vec<(usize, (u16, String))> =
         clients.into_iter().map(|c| c.join().unwrap()).collect();
 
-    // Every client got the byte-identical body of an unbatched server.
+    // Every client got the byte-identical body of the unbatched answer.
     for (j, (status, body)) in &answers {
         assert_eq!(*status, 200, "client {j}");
-        let unbatched = legacy::route(&reference, &format!("GET /similarity?a=0&b={j} HTTP/1.1"))
-            .unwrap_or_else(|e| panic!("legacy route failed: {e:?}"));
+        let unbatched = render::similarity(0, *j, reference.similarity(0, *j).unwrap());
         assert_eq!(*body, unbatched, "client {j} answer differs from unbatched");
     }
 

@@ -87,7 +87,7 @@ proptest! {
         // range API naturally; the merge must not care.
         let partials: Vec<Vec<(usize, f64)>> = partition
             .iter()
-            .map(|&(lo, hi)| model.top_k_pruned_range(q, k, lo, hi).unwrap())
+            .map(|&(lo, hi)| model.top_k_scan(q, k, Some(lo..hi)).unwrap().hits)
             .collect();
         let merged = merge_top_k(&partials, k);
         prop_assert_eq!(&global, &merged);

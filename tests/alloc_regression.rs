@@ -14,7 +14,7 @@
 #[global_allocator]
 static ALLOC: csrplus_memtrack::TrackingAllocator = csrplus_memtrack::TrackingAllocator;
 
-use csrplus_core::{CsrPlusConfig, CsrPlusModel, DenseMatrix};
+use csrplus_core::{CsrPlusConfig, CsrPlusModel, DenseMatrix, Query};
 use csrplus_graph::{generators::figure1_graph, TransitionMatrix};
 use csrplus_memtrack::count_allocations;
 use std::sync::{Mutex, MutexGuard};
@@ -64,9 +64,10 @@ fn precompute_and_query_allocate_less_than_seed() {
     // buffer is reused, so a repeated evaluation allocates strictly less
     // than the owned entry point ever could.
     let mut scratch = DenseMatrix::zeros(0, 0);
-    model.multi_source_into(&[1, 3], &mut scratch).unwrap();
-    let (_, steady) = count_allocations(|| model.multi_source_into(&[1, 3], &mut scratch).unwrap());
-    assert!(steady <= 1, "warm multi_source_into should only gather U_Q: {steady} allocs");
+    let plan = Query::new(&[1, 3]);
+    model.evaluate_into(&plan, &mut scratch).unwrap();
+    let (_, steady) = count_allocations(|| model.evaluate_into(&plan, &mut scratch).unwrap());
+    assert!(steady <= 1, "warm evaluate_into should only gather U_Q: {steady} allocs");
     let (_, steady_cols) =
         count_allocations(|| model.query_columns_into(&[1, 3], &mut scratch).unwrap());
     assert!(

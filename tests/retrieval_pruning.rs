@@ -38,7 +38,7 @@ fn pruning_skips_candidates_on_skewed_norms() {
     let queries = sample_queries(&g, 20, 4);
     let mut total_scanned = 0usize;
     for &q in &queries {
-        let (_, scanned) = model.top_k_pruned_with_stats(q, 5).unwrap();
+        let scanned = model.top_k_scan(q, 5, None).unwrap().scanned;
         assert!(scanned <= n);
         total_scanned += scanned;
     }
