@@ -35,7 +35,8 @@ use csrplus_core::{CsrPlusConfig, CsrPlusModel};
 use csrplus_graph::generators::erdos_renyi;
 use csrplus_graph::TransitionMatrix;
 use csrplus_loadgen::{run_phase, ArrivalProcess, Mix, PhaseReport, Plan, Workload};
-use csrplus_serve::{ingest, wire, EdgeOp, IngestConfig, ServeConfig, Server};
+use csrplus_serve::json::{self, Value};
+use csrplus_serve::{http, ingest, EdgeOp, IngestConfig, ServeConfig, Server};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -185,9 +186,15 @@ fn main() {
         .expect("server start");
     let addr = handle.addr().to_string();
     let ingest_report = run_phase(&addr, &ingest_plan, "ingest", CONNECTIONS, TIMEOUT);
-    let metrics = wire::get(&addr, "/metrics", TIMEOUT).map(|(_, b)| b).unwrap_or_default();
-    let server_epoch = wire::json_usize(&metrics, "epoch").unwrap_or(0);
-    let server_updates = wire::json_usize(&metrics, "updates_applied").unwrap_or(0);
+    let metrics = http::request(&addr, "GET", "/metrics", None, TIMEOUT)
+        .ok()
+        .and_then(|(_, body)| json::parse(&body).ok());
+    let ingest_counter = |key: &str| {
+        let section = metrics.as_ref().and_then(|m| m.get("ingest"));
+        section.and_then(|s| s.get(key)).and_then(Value::as_u64).unwrap_or(0)
+    };
+    let server_epoch = ingest_counter("epoch");
+    let server_updates = ingest_counter("updates_applied");
     handle.shutdown();
 
     // Drift audit: the server applies batches in arrival order, which

@@ -21,13 +21,12 @@ use csrplus_graph::generators::barabasi_albert::barabasi_albert;
 use csrplus_graph::partition::{shard_ranges, Partitioner, Permutation, Reordering};
 use csrplus_graph::{storage, CompressedTransition, DiGraph, TransitionMatrix};
 use csrplus_linalg::DenseMatrix;
-use csrplus_serve::{ServeConfig, Server, ServerHandle};
+use csrplus_serve::json::{self, Value};
+use csrplus_serve::{http, ServeConfig, Server, ServerHandle};
 use csrplus_store::Backend;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
-use std::io::{Read, Write as _};
-use std::net::TcpStream;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -40,47 +39,7 @@ const WARMUP: usize = 4;
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn get(addr: &str, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    let status: u16 =
-        response.split_whitespace().nth(1).and_then(|s| s.parse().ok()).expect("status");
-    let body = response.split("\r\n\r\n").nth(1).unwrap_or("").to_string();
-    (status, body)
-}
-
-fn metric_u64(json: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle).unwrap_or_else(|| panic!("{key} missing in {json}"));
-    json[at + needle.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap()
-}
-
-/// The `"coordinator":{...}` object out of a `/metrics` body, braces
-/// balanced (it nests histograms).
-fn coordinator_json(metrics: &str) -> String {
-    let at =
-        metrics.find("\"coordinator\":").expect("coordinator section") + "\"coordinator\":".len();
-    let bytes = &metrics.as_bytes()[at..];
-    let mut depth = 0usize;
-    for (i, &b) in bytes.iter().enumerate() {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return metrics[at..at + i + 1].to_string();
-                }
-            }
-            _ => {}
-        }
-    }
-    panic!("unbalanced coordinator json");
+    http::request(addr, "GET", path, None, Duration::from_secs(60)).expect("request")
 }
 
 /// A deterministic id scramble (argsort of hashed ids) standing in for
@@ -159,11 +118,13 @@ fn hammer(deployment: &Deployment, queries: &[usize]) -> RunStats {
     let elapsed = t0.elapsed().as_secs_f64();
     let (code, metrics) = get(&addr, "/metrics");
     assert_eq!(code, 200);
+    let metrics = json::parse(&metrics).expect("/metrics is JSON");
+    let gather = metrics.get("coordinator").expect("coordinator section");
     RunStats {
         throughput_qps: queries.len() as f64 / elapsed,
         mean_latency_us: elapsed * 1e6 / queries.len() as f64,
-        skipped_shards: metric_u64(&metrics, "skipped_shards"),
-        coordinator_metrics: coordinator_json(&metrics),
+        skipped_shards: gather.get("skipped_shards").and_then(Value::as_u64).expect("skips"),
+        coordinator_metrics: gather.to_string(),
     }
 }
 

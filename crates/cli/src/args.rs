@@ -17,7 +17,7 @@ usage:
   csrplus exact      <graph.txt> --nodes 1,3 [--damping C] [--epsilon E]
   csrplus join       <model.csrp> --threshold T [--limit N]
   csrplus serve      <model.csrp> [--port P] [--workers N] [--batch B] [--linger-us U]
-                     [--cache COLS] [--cache-ttl-ms MS] [--timeout-ms MS]
+                     [--cache COLS] [--timeout-ms MS]
                      [--max-requests N]
                      [--cache-admission] [--adaptive-linger]
                      [--degrade-rank R [--degrade-watermark D]]
@@ -132,8 +132,6 @@ pub enum Command {
         /// Queue-depth watermark for degradation (default: half the
         /// admission queue).
         degrade_watermark: Option<usize>,
-        /// Column-cache entry TTL in milliseconds (absent = no expiry).
-        cache_ttl_ms: Option<u64>,
         /// Live ingestion: build the serving model from this graph and
         /// accept `POST /edges` edit batches.
         ingest: Option<PathBuf>,
@@ -297,6 +295,16 @@ fn parse_num<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("invalid {what}: {v:?}"))
 }
 
+/// The value of numeric flag `name` (`--port`), or `default` if absent.
+fn num_flag<T: std::str::FromStr>(rest: &[&String], name: &str, default: T) -> Result<T, String> {
+    Ok(opt_num_flag(rest, name)?.unwrap_or(default))
+}
+
+/// The value of numeric flag `name` (`--workers`), if present.
+fn opt_num_flag<T: std::str::FromStr>(rest: &[&String], name: &str) -> Result<Option<T>, String> {
+    flag_value(rest, name).map(|v| parse_num(v, &name[2..])).transpose()
+}
+
 fn parse_nodes(v: &str) -> Result<Vec<usize>, String> {
     let nodes: Result<Vec<usize>, _> = v.split(',').map(|p| p.trim().parse()).collect();
     let nodes = nodes.map_err(|_| format!("invalid node list: {v:?}"))?;
@@ -358,18 +366,9 @@ fn parse_generate(rest: &[&String]) -> Result<Command, String> {
 fn parse_precompute(rest: &[&String]) -> Result<Command, String> {
     Ok(Command::Precompute {
         graph: positional(rest, 0)?,
-        rank: match flag_value(rest, "--rank") {
-            Some(v) => parse_num(v, "rank")?,
-            None => 5,
-        },
-        damping: match flag_value(rest, "--damping") {
-            Some(v) => parse_num(v, "damping")?,
-            None => 0.6,
-        },
-        epsilon: match flag_value(rest, "--epsilon") {
-            Some(v) => parse_num(v, "epsilon")?,
-            None => 1e-5,
-        },
+        rank: num_flag(rest, "--rank", 5)?,
+        damping: num_flag(rest, "--damping", 0.6)?,
+        epsilon: num_flag(rest, "--epsilon", 1e-5)?,
         backend: match flag_value(rest, "--backend") {
             None | Some("randomized") => csrplus_core::SvdBackend::Randomized,
             Some("lanczos") => csrplus_core::SvdBackend::Lanczos,
@@ -387,10 +386,7 @@ fn parse_query(rest: &[&String]) -> Result<Command, String> {
     Ok(Command::Query {
         model: positional(rest, 0)?,
         nodes: parse_nodes(require(rest, "--nodes")?)?,
-        top: match flag_value(rest, "--top") {
-            Some(v) => Some(parse_num(v, "top")?),
-            None => None,
-        },
+        top: opt_num_flag(rest, "--top")?,
     })
 }
 
@@ -398,10 +394,7 @@ fn parse_topk(rest: &[&String]) -> Result<Command, String> {
     Ok(Command::TopK {
         model: positional(rest, 0)?,
         node: parse_num(require(rest, "--node")?, "node")?,
-        k: match flag_value(rest, "--k") {
-            Some(v) => parse_num(v, "k")?,
-            None => 10,
-        },
+        k: num_flag(rest, "--k", 10)?,
     })
 }
 
@@ -409,56 +402,26 @@ fn parse_join(rest: &[&String]) -> Result<Command, String> {
     Ok(Command::Join {
         model: positional(rest, 0)?,
         threshold: parse_num(require(rest, "--threshold")?, "threshold")?,
-        limit: match flag_value(rest, "--limit") {
-            Some(v) => parse_num(v, "limit")?,
-            None => 100,
-        },
+        limit: num_flag(rest, "--limit", 100)?,
     })
 }
 
 fn parse_serve(rest: &[&String]) -> Result<Command, String> {
     Ok(Command::Serve {
         model: positional(rest, 0)?,
-        port: match flag_value(rest, "--port") {
-            Some(v) => parse_num(v, "port")?,
-            None => 8100,
-        },
-        workers: match flag_value(rest, "--workers") {
-            Some(v) => Some(parse_num(v, "workers")?),
-            None => None,
-        },
-        batch: match flag_value(rest, "--batch") {
-            Some(v) => parse_num(v, "batch")?,
-            None => 32,
-        },
-        linger_us: match flag_value(rest, "--linger-us") {
-            Some(v) => parse_num(v, "linger-us")?,
-            None => 200,
-        },
-        cache: match flag_value(rest, "--cache") {
-            Some(v) => parse_num(v, "cache")?,
-            None => 1024,
-        },
-        timeout_ms: match flag_value(rest, "--timeout-ms") {
-            Some(v) => parse_num(v, "timeout-ms")?,
-            None => 5000,
-        },
-        max_requests: match flag_value(rest, "--max-requests") {
-            Some(v) => Some(parse_num(v, "max-requests")?),
-            None => None,
-        },
+        port: num_flag(rest, "--port", 8100)?,
+        workers: opt_num_flag(rest, "--workers")?,
+        batch: num_flag(rest, "--batch", 32)?,
+        linger_us: num_flag(rest, "--linger-us", 200)?,
+        cache: num_flag(rest, "--cache", 1024)?,
+        timeout_ms: num_flag(rest, "--timeout-ms", 5000)?,
+        max_requests: opt_num_flag(rest, "--max-requests")?,
         shards: match flag_value(rest, "--shards") {
             Some(v) => parse_shards(v)?,
             None => Vec::new(),
         },
-        shard_timeout_ms: match flag_value(rest, "--shard-timeout-ms") {
-            Some(v) => parse_num(v, "shard-timeout-ms")?,
-            None => 2000,
-        },
-        hedge_ms: match flag_value(rest, "--hedge-ms") {
-            Some(v) => parse_num(v, "hedge-ms")?,
-            None => 50,
-        },
+        shard_timeout_ms: num_flag(rest, "--shard-timeout-ms", 2000)?,
+        hedge_ms: num_flag(rest, "--hedge-ms", 50)?,
         cache_admission: has_flag(rest, "--cache-admission"),
         adaptive_linger: has_flag(rest, "--adaptive-linger"),
         degrade_rank: match flag_value(rest, "--degrade-rank") {
@@ -477,16 +440,6 @@ fn parse_serve(rest: &[&String]) -> Result<Command, String> {
                     return Err("--degrade-watermark requires --degrade-rank".to_string());
                 }
                 Some(parse_num(v, "degrade-watermark")?)
-            }
-            None => None,
-        },
-        cache_ttl_ms: match flag_value(rest, "--cache-ttl-ms") {
-            Some(v) => {
-                let ms: u64 = parse_num(v, "cache-ttl-ms")?;
-                if ms == 0 {
-                    return Err("--cache-ttl-ms must be at least 1".to_string());
-                }
-                Some(ms)
             }
             None => None,
         },
@@ -509,10 +462,7 @@ fn parse_serve(rest: &[&String]) -> Result<Command, String> {
                 None
             }
         },
-        ingest_refresh: match flag_value(rest, "--ingest-refresh") {
-            Some(v) => parse_num(v, "ingest-refresh")?,
-            None => 0,
-        },
+        ingest_refresh: num_flag(rest, "--ingest-refresh", 0)?,
         ingest_checkpoint: flag_value(rest, "--ingest-checkpoint").map(PathBuf::from),
     })
 }
@@ -521,34 +471,13 @@ fn parse_shard(rest: &[&String]) -> Result<Command, String> {
     Ok(Command::Shard {
         model: positional(rest, 0)?,
         rows: parse_rows(require(rest, "--rows")?)?,
-        port: match flag_value(rest, "--port") {
-            Some(v) => parse_num(v, "port")?,
-            None => 8100,
-        },
-        workers: match flag_value(rest, "--workers") {
-            Some(v) => Some(parse_num(v, "workers")?),
-            None => None,
-        },
-        batch: match flag_value(rest, "--batch") {
-            Some(v) => parse_num(v, "batch")?,
-            None => 32,
-        },
-        linger_us: match flag_value(rest, "--linger-us") {
-            Some(v) => parse_num(v, "linger-us")?,
-            None => 200,
-        },
-        cache: match flag_value(rest, "--cache") {
-            Some(v) => parse_num(v, "cache")?,
-            None => 1024,
-        },
-        timeout_ms: match flag_value(rest, "--timeout-ms") {
-            Some(v) => parse_num(v, "timeout-ms")?,
-            None => 5000,
-        },
-        max_requests: match flag_value(rest, "--max-requests") {
-            Some(v) => Some(parse_num(v, "max-requests")?),
-            None => None,
-        },
+        port: num_flag(rest, "--port", 8100)?,
+        workers: opt_num_flag(rest, "--workers")?,
+        batch: num_flag(rest, "--batch", 32)?,
+        linger_us: num_flag(rest, "--linger-us", 200)?,
+        cache: num_flag(rest, "--cache", 1024)?,
+        timeout_ms: num_flag(rest, "--timeout-ms", 5000)?,
+        max_requests: opt_num_flag(rest, "--max-requests")?,
         cache_admission: has_flag(rest, "--cache-admission"),
         adaptive_linger: has_flag(rest, "--adaptive-linger"),
     })
@@ -558,14 +487,8 @@ fn parse_exact(rest: &[&String]) -> Result<Command, String> {
     Ok(Command::Exact {
         graph: positional(rest, 0)?,
         nodes: parse_nodes(require(rest, "--nodes")?)?,
-        damping: match flag_value(rest, "--damping") {
-            Some(v) => parse_num(v, "damping")?,
-            None => 0.6,
-        },
-        epsilon: match flag_value(rest, "--epsilon") {
-            Some(v) => parse_num(v, "epsilon")?,
-            None => 1e-8,
-        },
+        damping: num_flag(rest, "--damping", 0.6)?,
+        epsilon: num_flag(rest, "--epsilon", 1e-8)?,
     })
 }
 
@@ -912,8 +835,7 @@ mod tests {
         // Ingestion defaults off: today's immutable-model serving.
         let cmd = parse(&argv("serve m.csrp")).unwrap();
         match cmd {
-            Command::Serve { cache_ttl_ms, ingest, ingest_refresh, ingest_checkpoint, .. } => {
-                assert_eq!(cache_ttl_ms, None);
+            Command::Serve { ingest, ingest_refresh, ingest_checkpoint, .. } => {
                 assert_eq!(ingest, None);
                 assert_eq!(ingest_refresh, 0);
                 assert_eq!(ingest_checkpoint, None);
@@ -921,20 +843,18 @@ mod tests {
             other => panic!("{other:?}"),
         }
         let cmd = parse(&argv(
-            "serve m.csrp --cache-ttl-ms 500 --ingest g.txt \
+            "serve m.csrp --ingest g.txt \
              --ingest-refresh 64 --ingest-checkpoint ckpt.csrp",
         ))
         .unwrap();
         match cmd {
-            Command::Serve { cache_ttl_ms, ingest, ingest_refresh, ingest_checkpoint, .. } => {
-                assert_eq!(cache_ttl_ms, Some(500));
+            Command::Serve { ingest, ingest_refresh, ingest_checkpoint, .. } => {
                 assert_eq!(ingest, Some(PathBuf::from("g.txt")));
                 assert_eq!(ingest_refresh, 64);
                 assert_eq!(ingest_checkpoint, Some(PathBuf::from("ckpt.csrp")));
             }
             other => panic!("{other:?}"),
         }
-        assert!(parse(&argv("serve m.csrp --cache-ttl-ms 0")).unwrap_err().contains("at least 1"));
         assert!(parse(&argv("serve m.csrp --ingest g.txt --shards 127.0.0.1:8101"))
             .unwrap_err()
             .contains("drop --shards"));

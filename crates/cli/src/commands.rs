@@ -154,7 +154,6 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
             adaptive_linger,
             degrade_rank,
             degrade_watermark,
-            cache_ttl_ms,
             ingest,
             ingest_refresh,
             ingest_checkpoint,
@@ -181,7 +180,6 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
             // Default watermark: half the admission queue — degradation
             // engages while there is still headroom to absorb the spike.
             config.degrade_watermark = degrade_watermark.unwrap_or(config.queue_depth / 2);
-            config.cache_ttl = cache_ttl_ms.map(std::time::Duration::from_millis);
             let policies = [
                 cache_admission.then_some("tinylfu-admission"),
                 adaptive_linger.then_some("adaptive-linger"),

@@ -4,10 +4,11 @@
 //! single-process server answers.  Also pins down that `--reorder` is
 //! deterministic across runs and thread counts (bit-identical artifacts).
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use csrplus_serve::http;
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::time::Duration;
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("csrplus_shard_test_{}", std::process::id()));
@@ -71,14 +72,7 @@ fn spawn(args: &[&str]) -> Server {
 }
 
 fn get(addr: &str, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    let status: u16 =
-        response.split_whitespace().nth(1).and_then(|s| s.parse().ok()).expect("status code");
-    let body = response.split("\r\n\r\n").nth(1).unwrap_or("").to_string();
-    (status, body)
+    http::request(addr, "GET", path, None, Duration::from_secs(30)).expect("request")
 }
 
 #[test]

@@ -9,8 +9,8 @@
 
 use crate::report::PhaseReport;
 use crate::workload::Plan;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use csrplus_serve::http;
+use csrplus_serve::json::{self, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -34,90 +34,21 @@ impl CacheCounters {
     }
 }
 
-/// Sums every `"key":<digits>` occurrence in `s`.
-fn sum_field(s: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\":");
-    let mut total = 0;
-    let mut rest = s;
-    while let Some(at) = rest.find(&needle) {
-        rest = &rest[at + needle.len()..];
-        let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-        total += digits.parse::<u64>().unwrap_or(0);
-    }
-    total
-}
-
 /// Scrapes `GET /metrics` and sums the per-shard cache counters.
 /// Returns `None` when the server is unreachable or exposes no
 /// `cache_shards` section.
 pub fn scrape_cache_counters(addr: &str) -> Option<CacheCounters> {
-    let (status, body) = get(addr, "/metrics", Duration::from_secs(2)).ok()?;
-    if status != 200 {
+    let timeout = Duration::from_secs(2);
+    let Ok((200, body)) = http::request(addr, "GET", "/metrics", None, timeout) else {
         return None;
+    };
+    let metrics = json::parse(&body).ok()?;
+    let mut counters = CacheCounters::default();
+    for shard in metrics.get("cache_shards")?.as_array()? {
+        counters.hits += shard.get("hits").and_then(Value::as_u64)?;
+        counters.misses += shard.get("misses").and_then(Value::as_u64)?;
     }
-    let start = body.find("\"cache_shards\":[")?;
-    let section = &body[start..];
-    let end = section.find(']').map_or(section.len(), |i| i + 1);
-    let section = &section[..end];
-    Some(CacheCounters { hits: sum_field(section, "hits"), misses: sum_field(section, "misses") })
-}
-
-/// One blocking HTTP/1.1 GET over a fresh connection; returns the
-/// status code and the full response text.
-fn get(addr: &str, path: &str, timeout: Duration) -> std::io::Result<(u16, String)> {
-    let sock: SocketAddr = addr.parse().map_err(|e| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("{addr}: {e}"))
-    })?;
-    let mut stream = TcpStream::connect_timeout(&sock, timeout)?;
-    let _ = stream.set_nodelay(true); // don't let Nagle sit on the request
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    // One write_all of a prebuilt string: `write!` would issue one
-    // syscall per format fragment, splitting the request across TCP
-    // segments that a naive peer may not wait to reassemble.
-    let request = format!("GET {path} HTTP/1.1\r\nHost: loadgen\r\nConnection: close\r\n\r\n");
-    stream.write_all(request.as_bytes())?;
-    let mut body = String::new();
-    stream.read_to_string(&mut body)?;
-    let status = body
-        .lines()
-        .next()
-        .and_then(|line| line.split_whitespace().nth(1))
-        .and_then(|code| code.parse().ok())
-        .unwrap_or(0);
-    Ok((status, body))
-}
-
-/// One blocking HTTP/1.1 POST over a fresh connection; same socket
-/// discipline as [`get`], plus a `Content-Length` body.
-fn post(
-    addr: &str,
-    path: &str,
-    payload: &str,
-    timeout: Duration,
-) -> std::io::Result<(u16, String)> {
-    let sock: SocketAddr = addr.parse().map_err(|e| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("{addr}: {e}"))
-    })?;
-    let mut stream = TcpStream::connect_timeout(&sock, timeout)?;
-    let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let request = format!(
-        "POST {path} HTTP/1.1\r\nHost: loadgen\r\nContent-Length: {}\r\n\
-         Connection: close\r\n\r\n{payload}",
-        payload.len()
-    );
-    stream.write_all(request.as_bytes())?;
-    let mut body = String::new();
-    stream.read_to_string(&mut body)?;
-    let status = body
-        .lines()
-        .next()
-        .and_then(|line| line.split_whitespace().nth(1))
-        .and_then(|code| code.parse().ok())
-        .unwrap_or(0);
-    Ok((status, body))
+    Some(counters)
 }
 
 /// Per-worker tallies, merged after the phase.
@@ -163,11 +94,9 @@ pub fn run_phase(
                         if scheduled > now {
                             std::thread::sleep(scheduled - now);
                         }
-                        let outcome = match &request.body {
-                            Some(payload) => post(addr, &request.path, payload, timeout),
-                            None => get(addr, &request.path, timeout),
-                        };
-                        match outcome {
+                        let (path, body) = (&request.path, request.body.as_deref());
+                        let method = if body.is_some() { "POST" } else { "GET" };
+                        match http::request(addr, method, path, body, timeout) {
                             Ok((200, body)) => {
                                 tally.ok += 1;
                                 if request.body.is_some() {
@@ -224,6 +153,7 @@ pub fn run_phase(
 mod tests {
     use super::*;
     use crate::workload::Request;
+    use std::io::{Read, Write};
     use std::net::TcpListener;
 
     /// A canned one-request-per-connection HTTP server for driver tests.
@@ -286,7 +216,7 @@ mod tests {
             "deltas: 4 hits / 8 lookups"
         );
         assert_eq!(counters.hit_rate_since(counters), None, "no traffic, no rate");
-        let _ = get(&addr, "/stop", Duration::from_secs(1));
+        let _ = http::request(&addr, "GET", "/stop", None, Duration::from_secs(1));
         handle.join().expect("server thread");
     }
 
@@ -314,7 +244,7 @@ mod tests {
         assert_eq!(report.updates, 1, "{report:?}");
         assert_eq!(report.latencies_us.len(), 4, "{report:?}");
         assert_eq!(report.cache_hit_rate, None, "fake counters do not move");
-        let _ = get(&addr, "/stop", Duration::from_secs(1));
+        let _ = http::request(&addr, "GET", "/stop", None, Duration::from_secs(1));
         handle.join().expect("server thread");
     }
 

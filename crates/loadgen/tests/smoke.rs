@@ -8,6 +8,7 @@ use csrplus_core::{CsrPlusConfig, CsrPlusModel};
 use csrplus_graph::generators::erdos_renyi;
 use csrplus_graph::TransitionMatrix;
 use csrplus_loadgen::{run_phase, ArrivalProcess, Mix, Plan, Workload};
+use csrplus_serve::json;
 use csrplus_serve::server::{ServeConfig, Server};
 use csrplus_serve::IngestConfig;
 use std::time::Duration;
@@ -18,58 +19,10 @@ fn model(n: usize) -> CsrPlusModel {
     CsrPlusModel::precompute(&t, &CsrPlusConfig::with_rank(8)).expect("precompute")
 }
 
-/// Minimal JSON well-formedness check (objects, arrays, strings,
-/// numbers, literals) — enough to pin that the report is machine-true.
-fn json_value(s: &str) -> Option<&str> {
-    let s = s.trim_start();
-    match s.as_bytes().first()? {
-        b'{' => json_seq(&s[1..], b'}', true),
-        b'[' => json_seq(&s[1..], b']', false),
-        b'"' => json_string(s),
-        b't' => s.strip_prefix("true"),
-        b'f' => s.strip_prefix("false"),
-        b'n' => s.strip_prefix("null"),
-        _ => {
-            let end =
-                s.find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c))).unwrap_or(s.len());
-            (end > 0).then(|| &s[end..])
-        }
-    }
-}
-
-fn json_string(s: &str) -> Option<&str> {
-    let mut rest = s.strip_prefix('"')?;
-    while let Some(at) = rest.find('"') {
-        if !rest[..at].ends_with('\\') {
-            return Some(&rest[at + 1..]);
-        }
-        rest = &rest[at + 1..];
-    }
-    None
-}
-
-fn json_seq(mut s: &str, close: u8, keyed: bool) -> Option<&str> {
-    if s.trim_start().as_bytes().first() == Some(&close) {
-        return Some(&s.trim_start()[1..]);
-    }
-    loop {
-        if keyed {
-            s = json_string(s.trim_start())?;
-            s = s.trim_start().strip_prefix(':')?;
-        }
-        s = json_value(s)?;
-        let rest = s.trim_start();
-        match rest.as_bytes().first()? {
-            b',' => s = &rest[1..],
-            b if *b == close => return Some(&rest[1..]),
-            _ => return None,
-        }
-    }
-}
-
 fn assert_valid_json(s: &str) {
-    let rest = json_value(s).unwrap_or_else(|| panic!("unparseable JSON: {s}"));
-    assert!(rest.trim().is_empty(), "trailing garbage after JSON: {rest:?}");
+    if let Err(e) = json::parse(s) {
+        panic!("report is not JSON ({e}): {s}");
+    }
 }
 
 #[test]

@@ -6,22 +6,23 @@
 static ALLOC: csrplus_memtrack::TrackingAllocator = csrplus_memtrack::TrackingAllocator;
 
 use csrplus_memtrack::{current_bytes, peak_bytes, reset_peak, tracking_active, PeakScope};
-use std::sync::{Mutex, MutexGuard};
 
-/// The peak is process-wide and libtest runs tests concurrently: a
-/// `reset_peak()` in one test would move another's `PeakScope` baseline.
-/// Each test holds this lock throughout.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    // The guarded value is `()`, so a test that panicked while holding
-    // the lock left nothing inconsistent behind.
-    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+/// The counters are process-wide on purpose, so this binary runs without
+/// libtest's harness: no other test, and no harness thread freeing the
+/// previous test's output, allocates inside a measured window.
+fn main() {
+    let checks: [(&str, fn()); 3] = [
+        ("allocator_counts_live_and_peak_bytes", allocator_counts_live_and_peak_bytes),
+        ("peak_scope_measures_transient_allocation", peak_scope_measures_transient_allocation),
+        ("realloc_paths_are_tracked", realloc_paths_are_tracked),
+    ];
+    for (name, check) in checks {
+        check();
+        println!("test {name} ... ok");
+    }
 }
 
-#[test]
 fn allocator_counts_live_and_peak_bytes() {
-    let _serial = serial();
     reset_peak();
     let before = current_bytes();
     let block: Vec<u8> = vec![7; 1 << 20]; // 1 MiB
@@ -36,11 +37,7 @@ fn allocator_counts_live_and_peak_bytes() {
     assert!(tracking_active());
 }
 
-#[test]
 fn peak_scope_measures_transient_allocation() {
-    let _serial = serial();
-    // NB: tests in one binary may run concurrently; use a size large
-    // enough to dominate incidental allocations from the harness.
     let scope = PeakScope::start();
     {
         let big: Vec<u64> = vec![0; 4 << 20]; // 32 MiB
@@ -50,9 +47,7 @@ fn peak_scope_measures_transient_allocation() {
     assert!(measured >= 32 * (1 << 20), "scope missed the transient allocation: {measured} bytes");
 }
 
-#[test]
 fn realloc_paths_are_tracked() {
-    let _serial = serial();
     reset_peak();
     let mut v: Vec<u8> = Vec::new();
     for i in 0..100_000u32 {

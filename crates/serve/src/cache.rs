@@ -14,9 +14,6 @@
 //! never block; with ingestion disabled every request is epoch 0 and
 //! the tag is inert.
 //!
-//! An optional **TTL** (off by default) bounds staleness the same way:
-//! entries older than the TTL are misses and are dropped on lookup.
-//!
 //! With admission enabled ([`ColumnCache::with_admission`]) each shard
 //! additionally keeps a TinyLFU [`FrequencySketch`]: lookups record the
 //! requested node's popularity, and an insert that would evict only goes
@@ -24,12 +21,12 @@
 //! victim it displaces — one-hit wonders under Zipfian traffic stop
 //! flushing the hot set.
 
+use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::tinylfu::FrequencySketch;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// One cached column, shared zero-copy with all readers.
 pub type Column = Arc<[f64]>;
@@ -40,8 +37,6 @@ struct Entry {
     node: usize,
     /// Epoch of the snapshot this column was evaluated against.
     epoch: u64,
-    /// When the column was stored (drives the optional TTL).
-    stored_at: Instant,
     column: Column,
     prev: usize,
     next: usize,
@@ -59,19 +54,6 @@ pub struct ShardStats {
     /// Inserts refused by the TinyLFU admission filter (candidate no
     /// more popular than the entry it would evict).
     pub admission_rejects: AtomicU64,
-}
-
-impl ShardStats {
-    /// One JSON object: `{"hits":…,"misses":…,"evictions":…,"admission_rejects":…}`.
-    pub fn render_json(&self) -> String {
-        format!(
-            "{{\"hits\":{},\"misses\":{},\"evictions\":{},\"admission_rejects\":{}}}",
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-            self.evictions.load(Ordering::Relaxed),
-            self.admission_rejects.load(Ordering::Relaxed),
-        )
-    }
 }
 
 /// Outcome of one insert attempt (drives the counters).
@@ -138,7 +120,7 @@ impl Shard {
         self.free.push(idx);
     }
 
-    fn get(&mut self, node: usize, epoch: u64, ttl: Option<Duration>) -> Option<Column> {
+    fn get(&mut self, node: usize, epoch: u64) -> Option<Column> {
         // The sketch counts *requests*, hits and misses alike — a node's
         // popularity is how often it is asked for, not how often it is
         // resident.
@@ -147,12 +129,9 @@ impl Shard {
         }
         let idx = *self.map.get(&node)?;
         // A column cached under another epoch answers for a model this
-        // request is not seeing: drop it and miss.  Likewise an entry
-        // past its TTL.  Dropping here (rather than on publish) is the
-        // lazy drain — no flush, no reader blocking.
-        if self.entries[idx].epoch != epoch
-            || ttl.is_some_and(|ttl| self.entries[idx].stored_at.elapsed() >= ttl)
-        {
+        // request is not seeing: drop it and miss.  Dropping here (rather
+        // than on publish) is the lazy drain — no flush, no reader blocking.
+        if self.entries[idx].epoch != epoch {
             self.remove(idx);
             return None;
         }
@@ -172,7 +151,6 @@ impl Shard {
             }
             self.entries[idx].column = column;
             self.entries[idx].epoch = epoch;
-            self.entries[idx].stored_at = Instant::now();
             self.unlink(idx);
             self.push_front(idx);
             return Inserted::Stored { evicted: false };
@@ -193,7 +171,7 @@ impl Shard {
             self.remove(lru);
             evicted = true;
         }
-        let entry = Entry { node, epoch, stored_at: Instant::now(), column, prev: NIL, next: NIL };
+        let entry = Entry { node, epoch, column, prev: NIL, next: NIL };
         let idx = match self.free.pop() {
             Some(idx) => {
                 self.entries[idx] = entry;
@@ -217,7 +195,6 @@ pub struct ColumnCache {
     shards: Vec<Mutex<Shard>>,
     stats: Vec<ShardStats>,
     metrics: Arc<Metrics>,
-    ttl: Option<Duration>,
 }
 
 impl ColumnCache {
@@ -225,7 +202,7 @@ impl ColumnCache {
     /// locks, with no admission filter.  Hit/miss/eviction counts are
     /// reported through `metrics`.
     pub fn new(capacity: usize, shards: usize, metrics: Arc<Metrics>) -> Self {
-        Self::with_policies(capacity, shards, metrics, false, None)
+        Self::with_admission(capacity, shards, metrics, false)
     }
 
     /// [`ColumnCache::new`] with an optional TinyLFU admission filter:
@@ -238,18 +215,6 @@ impl ColumnCache {
         metrics: Arc<Metrics>,
         admission: bool,
     ) -> Self {
-        Self::with_policies(capacity, shards, metrics, admission, None)
-    }
-
-    /// Full policy constructor: admission filter plus an optional TTL
-    /// (entries older than `ttl` are misses and drain on lookup).
-    pub fn with_policies(
-        capacity: usize,
-        shards: usize,
-        metrics: Arc<Metrics>,
-        admission: bool,
-        ttl: Option<Duration>,
-    ) -> Self {
         let shards = shards.max(1);
         let per_shard = capacity / shards;
         // Distribute the remainder so total capacity is exact.
@@ -258,7 +223,7 @@ impl ColumnCache {
         let shards = (0..shards)
             .map(|i| Mutex::new(Shard::new(per_shard + usize::from(i < extra), admission)))
             .collect();
-        ColumnCache { shards, stats, metrics, ttl }
+        ColumnCache { shards, stats, metrics }
     }
 
     fn shard(&self, node: usize) -> (&Mutex<Shard>, &ShardStats) {
@@ -269,7 +234,7 @@ impl ColumnCache {
     /// Looks up the column for `node` as seen at `epoch`, counting a hit
     /// or miss (globally and on the owning shard) and recording the
     /// request's popularity when admission is on.  Entries tagged with
-    /// another epoch — or past the TTL — are misses and are dropped.
+    /// another epoch are misses and are dropped.
     pub fn get(&self, node: usize, epoch: u64) -> Option<Column> {
         let (shard, stats) = self.shard(node);
         let result = {
@@ -277,7 +242,7 @@ impl ColumnCache {
             if shard.capacity == 0 {
                 None
             } else {
-                shard.get(node, epoch, self.ttl)
+                shard.get(node, epoch)
             }
         };
         match result {
@@ -321,16 +286,21 @@ impl ColumnCache {
         }
     }
 
-    /// Per-shard statistics, indexed like the shard list.
-    pub fn shard_stats(&self) -> &[ShardStats] {
-        &self.stats
-    }
-
-    /// The `"cache_shards"` JSON array for `GET /metrics`: one
-    /// [`ShardStats::render_json`] object per shard.
-    pub fn render_stats_json(&self) -> String {
-        let shards: Vec<String> = self.stats.iter().map(ShardStats::render_json).collect();
-        format!("[{}]", shards.join(","))
+    /// Writes the `"cache_shards"` array for `GET /metrics`: one
+    /// `{"hits":…,"misses":…,"evictions":…,"admission_rejects":…}`
+    /// object per shard.
+    pub(crate) fn write_stats_json(&self, out: &mut Json) {
+        out.open(b'[');
+        for s in &self.stats {
+            let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+            out.counts(&[
+                ("hits", load(&s.hits)),
+                ("misses", load(&s.misses)),
+                ("evictions", load(&s.evictions)),
+                ("admission_rejects", load(&s.admission_rejects)),
+            ]);
+        }
+        out.close(b']');
     }
 }
 
@@ -435,24 +405,5 @@ mod tests {
         // A late batch for an older epoch does not displace the newer column.
         cache.insert(1, 0, col(10.0));
         assert_eq!(cache.get(1, 1).unwrap()[0], 11.0);
-    }
-
-    #[test]
-    fn ttl_expires_entries() {
-        let metrics = Arc::new(Metrics::new());
-        let cache =
-            ColumnCache::with_policies(4, 1, Arc::clone(&metrics), false, Some(Duration::ZERO));
-        cache.insert(1, 0, col(1.0));
-        // TTL 0: every entry is expired by the time it is read.
-        assert!(cache.get(1, 0).is_none());
-        let cache = ColumnCache::with_policies(
-            4,
-            1,
-            Arc::new(Metrics::new()),
-            false,
-            Some(Duration::from_secs(3600)),
-        );
-        cache.insert(1, 0, col(1.0));
-        assert!(cache.get(1, 0).is_some(), "a one-hour TTL does not expire immediately");
     }
 }

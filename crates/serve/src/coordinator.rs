@@ -27,6 +27,8 @@
 //! byte-identical response bodies.
 
 use crate::cache::{Column, ColumnCache};
+use crate::http;
+use crate::json::{self, Json, Value};
 use crate::metrics::Histogram;
 use crate::render;
 use crate::snapshot::{Snapshot, SnapshotHandle};
@@ -79,7 +81,7 @@ pub struct GatherMetrics {
 }
 
 impl GatherMetrics {
-    fn new(shards: usize) -> Self {
+    pub(crate) fn new(shards: usize) -> Self {
         GatherMetrics {
             scatter_requests: AtomicU64::new(0),
             scatter_skipped_shards: AtomicU64::new(0),
@@ -90,22 +92,20 @@ impl GatherMetrics {
         }
     }
 
-    /// The `"coordinator"` JSON object.
-    pub fn render_json(&self) -> String {
-        let shards: Vec<String> =
-            self.shard_latency_us.iter().map(Histogram::render_json).collect();
-        format!(
-            concat!(
-                "{{\"scatter_requests\":{},\"skipped_shards\":{},\"hedges\":{},",
-                "\"fanout\":{},\"merge_us\":{},\"shard_latency_us\":[{}]}}"
-            ),
-            self.scatter_requests.load(Ordering::Relaxed),
-            self.scatter_skipped_shards.load(Ordering::Relaxed),
-            self.scatter_hedges.load(Ordering::Relaxed),
-            self.scatter_fanout.render_json(),
-            self.gather_merge_us.render_json(),
-            shards.join(","),
-        )
+    /// Writes the `"coordinator"` JSON object.
+    pub(crate) fn write_json(&self, out: &mut Json) {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        out.open(b'{').key("scatter_requests").value(load(&self.scatter_requests));
+        out.key("skipped_shards").value(load(&self.scatter_skipped_shards));
+        out.key("hedges").value(load(&self.scatter_hedges)).key("fanout");
+        self.scatter_fanout.write_json(out);
+        out.key("merge_us");
+        self.gather_merge_us.write_json(out);
+        out.key("shard_latency_us").open(b'[');
+        for h in &self.shard_latency_us {
+            h.write_json(out);
+        }
+        out.close(b']').close(b'}');
     }
 }
 
@@ -118,7 +118,6 @@ impl GatherMetrics {
 /// split tables and memoised by epoch, so the epoch-0 steady state costs
 /// one boot-time derivation exactly as before.
 pub struct Coordinator {
-    handle: Arc<SnapshotHandle>,
     shards: Vec<ShardSpec>,
     bounds: Mutex<EpochBounds>,
     cache: Arc<ColumnCache>,
@@ -160,7 +159,7 @@ impl Coordinator {
         for addr in shard_addrs {
             let deadline = Instant::now() + DISCOVERY_BUDGET;
             let body = loop {
-                match wire::get(addr, "/shard/range", timeout) {
+                match http::request(addr, "GET", "/shard/range", None, timeout) {
                     Ok((200, body)) => break body,
                     Ok((code, body)) => {
                         return Err(format!("shard {addr} rejected discovery: {code} {body}"))
@@ -172,18 +171,20 @@ impl Coordinator {
                     Err(e) => return Err(format!("shard {addr} unreachable: {e}")),
                 }
             };
-            let lo = wire::json_usize(&body, "lo")?;
-            let hi = wire::json_usize(&body, "hi")?;
-            let shard_n = wire::json_usize(&body, "n")?;
-            if shard_n != n {
+            let range = json::parse(&body).unwrap_or(Value::Null);
+            let field = |key: &str| range.get(key).and_then(Value::as_u64);
+            let (Some(lo), Some(hi), Some(shard_n)) = (field("lo"), field("hi"), field("n")) else {
+                return Err(format!("shard {addr} announced no row range: {body}"));
+            };
+            if shard_n != n as u64 {
                 return Err(format!(
                     "shard {addr} serves a model with n = {shard_n}, coordinator has n = {n}"
                 ));
             }
             // Static shards predate epochs and omit the field: epoch 0.
-            let epoch = wire::json_usize(&body, "epoch").map(|e| e as u64).unwrap_or(0);
+            let epoch = field("epoch").unwrap_or(0);
             epochs.push((addr.clone(), epoch));
-            shards.push(ShardSpec { addr: addr.clone(), lo, hi });
+            shards.push(ShardSpec { addr: addr.clone(), lo: lo as usize, hi: hi as usize });
         }
         // A gather that mixes model versions would merge slices of two
         // different similarity matrices; refuse to boot over it.
@@ -212,17 +213,7 @@ impl Coordinator {
         let bounds =
             Mutex::new(EpochBounds { epoch: boot.epoch(), bounds: derive_bounds(&boot, &shards) });
         let metrics = GatherMetrics::new(shards.len());
-        Ok(Coordinator { handle, shards, bounds, cache, timeout, hedge, metrics })
-    }
-
-    /// The shard directory (sorted by row range).
-    pub fn shards(&self) -> &[ShardSpec] {
-        &self.shards
-    }
-
-    /// Number of nodes in the current snapshot's model.
-    pub fn n(&self) -> usize {
-        self.handle.load().model().n()
+        Ok(Coordinator { shards, bounds, cache, timeout, hedge, metrics })
     }
 
     /// The bound table for `snapshot`, memoised by epoch: recomputed
@@ -241,13 +232,13 @@ impl Coordinator {
     /// delay; whichever response lands first wins.
     fn fetch(&self, si: usize, path: &str) -> Result<String, (u16, String)> {
         let start = Instant::now();
-        let (tx, rx) = mpsc::channel::<Result<(u16, String), String>>();
-        let launch = |tx: mpsc::Sender<Result<(u16, String), String>>| {
+        let (tx, rx) = mpsc::channel::<std::io::Result<(u16, String)>>();
+        let launch = |tx: mpsc::Sender<std::io::Result<(u16, String)>>| {
             let addr = self.shards[si].addr.clone();
             let path = path.to_string();
             let timeout = self.timeout;
             std::thread::spawn(move || {
-                let _ = tx.send(wire::get(&addr, &path, timeout));
+                let _ = tx.send(http::request(&addr, "GET", &path, None, timeout));
             });
         };
         launch(tx.clone());
@@ -273,20 +264,11 @@ impl Coordinator {
 
     /// Full similarity columns for `nodes`, in original-id space:
     /// cache hits are returned as-is, misses are gathered from every
-    /// shard in one scatter and reassembled.
+    /// shard in one scatter and reassembled.  A rank truncation `Some(t)`
+    /// forwards `rank=t` to every shard and bypasses the column cache in
+    /// both directions — truncated columns are never cached and never
+    /// served from cache.
     pub fn columns(
-        &self,
-        snapshot: &Snapshot,
-        nodes: &[usize],
-    ) -> Result<Vec<Column>, (u16, String)> {
-        self.columns_rank(snapshot, nodes, None)
-    }
-
-    /// [`Coordinator::columns`] with an optional rank truncation.
-    /// `Some(t)` forwards `rank=t` to every shard and bypasses the
-    /// column cache in both directions — truncated columns are never
-    /// cached and never served from cache.
-    pub fn columns_rank(
         &self,
         snapshot: &Snapshot,
         nodes: &[usize],
@@ -319,7 +301,7 @@ impl Coordinator {
             let merge_start = Instant::now();
             let mut full: Vec<Vec<f64>> = missing.iter().map(|_| vec![0.0; n]).collect();
             for (shard, body) in self.shards.iter().zip(&partials) {
-                let cols = wire::json_string_array(body, "cols").map_err(|e| (502, e))?;
+                let cols = strings(body, "cols")?;
                 if cols.len() != missing.len() {
                     return Err((
                         502,
@@ -374,19 +356,9 @@ impl Coordinator {
     }
 
     /// `[S]_{a,b}` — from a cached column when possible, otherwise from
-    /// the single shard owning internal row `a` (no full gather).
+    /// the single shard owning internal row `a` (no full gather).  A rank
+    /// truncation `Some(t)` bypasses the cache and forwards `rank=t`.
     pub fn similarity(
-        &self,
-        snapshot: &Snapshot,
-        a: usize,
-        b: usize,
-    ) -> Result<f64, (u16, String)> {
-        self.similarity_rank(snapshot, a, b, None)
-    }
-
-    /// [`Coordinator::similarity`] with an optional rank truncation
-    /// (`Some(t)` bypasses the cache and forwards `rank=t`).
-    pub fn similarity_rank(
         &self,
         snapshot: &Snapshot,
         a: usize,
@@ -415,7 +387,7 @@ impl Coordinator {
         self.metrics.scatter_requests.fetch_add(1, Ordering::Relaxed);
         self.metrics.scatter_fanout.observe(1);
         let body = self.fetch(si, &format!("/shard/columns?nodes={b}{}", rank_suffix(rank)))?;
-        let cols = wire::json_string_array(&body, "cols").map_err(|e| (502, e))?;
+        let cols = strings(&body, "cols")?;
         let hex = cols.first().ok_or((502, "shard answered no columns".to_string()))?;
         let part = wire::decode_f64s(hex).map_err(|e| (502, e))?;
         part.get(row - self.shards[si].lo)
@@ -428,21 +400,13 @@ impl Coordinator {
     /// bound is strictly below the k-th best score is skipped without a
     /// request (bound < kth ⟹ every score it holds < kth, so not even
     /// the id tie-break can displace the current set).
+    ///
+    /// A rank truncation `Some(t)` bypasses the cache, forwards `rank=t`
+    /// to every shard contacted, and disables bound-based shard skipping
+    /// — the split bounds summarise full-rank scores, so under truncation
+    /// they are used only to order shard visits, never to prove one
+    /// irrelevant.
     pub fn top_k(
-        &self,
-        snapshot: &Snapshot,
-        q: usize,
-        k: usize,
-    ) -> Result<Vec<(usize, f64)>, (u16, String)> {
-        self.top_k_rank(snapshot, q, k, None)
-    }
-
-    /// [`Coordinator::top_k`] with an optional rank truncation.
-    /// `Some(t)` bypasses the cache, forwards `rank=t` to every shard
-    /// contacted, and disables bound-based shard skipping — the split
-    /// bounds summarise full-rank scores, so under truncation they are
-    /// used only to order shard visits, never to prove one irrelevant.
-    pub fn top_k_rank(
         &self,
         snapshot: &Snapshot,
         q: usize,
@@ -496,7 +460,7 @@ impl Coordinator {
             let body =
                 self.fetch(si, &format!("/shard/topk?node={q}&k={k}{}", rank_suffix(rank)))?;
             let merge_start = Instant::now();
-            for pair in wire::json_string_array(&body, "results").map_err(|e| (502, e))? {
+            for pair in strings(&body, "results")? {
                 let (id, hex) =
                     pair.split_once(':').ok_or((502, format!("bad top-k pair {pair:?}")))?;
                 let id: usize = id.parse().map_err(|_| (502, format!("bad node id {id:?}")))?;
@@ -513,6 +477,16 @@ impl Coordinator {
         self.metrics.scatter_fanout.observe(contacted);
         Ok(best)
     }
+}
+
+/// The items of the string array `key` in a shard's JSON body; a body
+/// without one is a bad gateway.
+fn strings(body: &str, key: &str) -> Result<Vec<String>, (u16, String)> {
+    let body = json::parse(body).map_err(|e| (502, format!("malformed shard body: {e}")))?;
+    let items = body.get(key).and_then(Value::as_array);
+    let items =
+        items.and_then(|items| items.iter().map(|v| v.as_str().map(str::to_string)).collect());
+    items.ok_or_else(|| (502, format!("shard body has no string array {key:?}")))
 }
 
 /// The `&rank=t` query suffix a truncated gather forwards to shards.

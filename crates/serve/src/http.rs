@@ -1,10 +1,14 @@
-//! Minimal std-only HTTP/1.1 plumbing for the server, its shard wire
-//! protocol and its tests: request-line reading, query-string parsing
-//! with percent-decoding and duplicate-parameter rejection, and response
-//! writing.
+//! HTTP/1.1 framing for every hop, in both directions: the server's
+//! request reader and response writer, [`request`] — the one client
+//! every caller uses — and query-string parsing.  Every message head is
+//! read under [`MAX_HEAD_BYTES`] and [`MAX_HEADERS`]; bodies are framed
+//! by `Content-Length` alone and read through `take`, so memory follows
+//! the bytes a peer sends, never the length it declares.
 
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 /// A parsed `GET` request target: path plus decoded query parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,24 +29,6 @@ impl Target {
     pub fn get(&self, key: &str) -> Option<&str> {
         self.params.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
     }
-}
-
-/// Parses a request line like `GET /topk?node=1&k=5 HTTP/1.1` into a
-/// [`Target`], enforcing `GET`, decoding `%XX` escapes (and `+` as
-/// space), and rejecting duplicate parameters with a clear message.
-pub fn parse_request_line(request_line: &str) -> Result<Target, (u16, String)> {
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let target = parts.next().unwrap_or("");
-    if method != "GET" {
-        return Err((400, format!("unsupported method {method:?}")));
-    }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
-    let params = parse_query(query)?;
-    Ok(Target { path: path.to_string(), params })
 }
 
 /// Parses and percent-decodes a query string.  Pairs without `=` are
@@ -100,11 +86,6 @@ fn hex_value(b: u8) -> Option<u8> {
     }
 }
 
-/// Reads the request line and drains the headers (GET only, no bodies).
-pub fn read_request<R: Read>(stream: R) -> std::io::Result<String> {
-    Ok(read_request_with_body(stream)?.line)
-}
-
 /// A raw request as read off the wire: the request line plus the body
 /// (empty unless the client sent `Content-Length`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,53 +101,131 @@ pub struct RawRequest {
 /// bulk uploads).
 pub const MAX_BODY_BYTES: usize = 4 << 20;
 
-/// Reads the request line, the headers (capturing `Content-Length`) and
-/// the body.  GET requests without a body return an empty body — this
-/// is a strict superset of [`read_request`].
-pub fn read_request_with_body<R: Read>(stream: R) -> std::io::Result<RawRequest> {
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    let mut content_length = 0usize;
-    let mut line = String::new();
-    loop {
+/// The most bytes a message head (start line plus headers) may hold.
+pub const MAX_HEAD_BYTES: usize = 64 << 10;
+
+/// A message head may carry at most this many header lines.
+pub const MAX_HEADERS: usize = 100;
+
+fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// Reads one head up to and including its blank line, holding at most
+/// [`MAX_HEAD_BYTES`] of it and at most [`MAX_HEADERS`] header lines.
+/// Returns the start line, as read, and the declared body length.
+fn read_head<R: BufRead>(reader: &mut R) -> io::Result<(String, Option<usize>)> {
+    let mut budget = MAX_HEAD_BYTES as u64;
+    let mut read_line = |line: &mut String| -> io::Result<()> {
         line.clear();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 || line == "\r\n" || line == "\n" {
-            break;
+        budget -= reader.by_ref().take(budget).read_line(line)? as u64;
+        if line.ends_with('\n') {
+            Ok(())
+        } else if budget == 0 {
+            Err(invalid(format!("message head exceeds {MAX_HEAD_BYTES} bytes")))
+        } else {
+            Err(io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed mid-head"))
         }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                // A length we cannot read would leave the body unread and
-                // frame it as the next request: refuse, like an oversize one.
-                content_length = value.trim().parse().map_err(|_| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("unparsable Content-Length {:?}", value.trim()),
-                    )
-                })?;
+    };
+    let (mut start, mut content_length) = (String::new(), None);
+    read_line(&mut start)?;
+    let mut line = String::new();
+    // Up to MAX_HEADERS header lines, then the blank line.
+    for _ in 0..=MAX_HEADERS {
+        read_line(&mut line)?;
+        if line == "\r\n" || line == "\n" {
+            return Ok((start, content_length));
+        }
+        let Some((name, value)) = line.split_once(':') else { continue };
+        if name.eq_ignore_ascii_case("content-length") {
+            // A length we cannot read would leave the body unread and
+            // frame it as the next message: refuse, like an oversize one.
+            let value = value.trim();
+            let len = value
+                .parse()
+                .map_err(|_| invalid(format!("unparsable Content-Length {value:?}")))?;
+            if content_length.replace(len).is_some() {
+                return Err(invalid("repeated Content-Length"));
             }
         }
     }
-    if content_length > MAX_BODY_BYTES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("request body of {content_length} bytes exceeds {MAX_BODY_BYTES}"),
-        ));
-    }
-    let mut body_bytes = vec![0u8; content_length];
-    if content_length > 0 {
-        reader.read_exact(&mut body_bytes)?;
-    }
-    let body = String::from_utf8(body_bytes).map_err(|_| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, "request body is not UTF-8")
-    })?;
-    Ok(RawRequest { line: request_line, body })
+    Err(invalid(format!("message head has more than {MAX_HEADERS} header lines")))
 }
 
-/// Parses a request line like [`parse_request_line`] but accepts the
-/// listed methods, returning `(method, target)`.  The server uses this
-/// to admit `POST /edges`; all query routes stay strictly `GET`.
+/// Reads exactly `len` body bytes as UTF-8.
+fn read_body<R: Read>(reader: R, len: usize) -> io::Result<String> {
+    let mut body = Vec::new();
+    reader.take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        let msg = format!("body ended after {} of {len} bytes", body.len());
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, msg));
+    }
+    String::from_utf8(body).map_err(|_| invalid("body is not UTF-8"))
+}
+
+/// Reads the request line, the headers and the body the request's
+/// `Content-Length` declares (none without one).
+pub fn read_request_with_body<R: Read>(stream: R) -> io::Result<RawRequest> {
+    let mut reader = BufReader::new(stream);
+    let (line, len) = read_head(&mut reader)?;
+    let len = len.unwrap_or(0);
+    if len > MAX_BODY_BYTES {
+        return Err(invalid(format!("request body of {len} bytes exceeds {MAX_BODY_BYTES}")));
+    }
+    Ok(RawRequest { line, body: read_body(reader, len)? })
+}
+
+/// One blocking request over a fresh `Connection: close` connection.
+/// `timeout` bounds the connect and every socket read and write.
+/// `body`, when given, is sent with its `Content-Length`.  The response
+/// must frame its body with `Content-Length` too, and end there with the
+/// peer closing the connection.  Returns `(status, body)`.
+pub fn request(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+    timeout: Duration,
+) -> io::Result<(u16, String)> {
+    let sock = addr.to_socket_addrs()?.next().ok_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidInput, format!("{addr:?} resolves to nothing"))
+    })?;
+    let mut stream = TcpStream::connect_timeout(&sock, timeout)?;
+    stream.set_nodelay(true)?; // scatter legs are latency-critical
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))?;
+    // One write_all of a prebuilt request: `write!` on the socket would
+    // issue one syscall per fragment, and Nagle-free segments would hit
+    // the peer split.
+    let mut message = String::with_capacity(96 + addr.len() + path.len());
+    let _ = write!(message, "{method} {path} HTTP/1.1\r\nHost: {addr}\r\n");
+    if let Some(body) = body {
+        let _ = write!(message, "Content-Length: {}\r\n", body.len());
+    }
+    message.push_str("Connection: close\r\n\r\n");
+    message.push_str(body.unwrap_or(""));
+    stream.write_all(message.as_bytes())?;
+
+    let mut reader = BufReader::new(stream);
+    let (status, len) = read_head(&mut reader)?;
+    let code = status.strip_prefix("HTTP/1.").and_then(|rest| rest.split_whitespace().nth(1));
+    let code = code.filter(|code| code.len() == 3).and_then(|code| code.parse().ok());
+    let code = code.ok_or_else(|| invalid(format!("malformed status line {status:?}")))?;
+    let len = len.ok_or_else(|| invalid("response without Content-Length"))?;
+    let body = read_body(&mut reader, len)?;
+    // `Connection: close`: the peer's close ends the exchange, and only
+    // then is the server done with the request (its metrics included).
+    if reader.read(&mut [0u8; 1])? != 0 {
+        return Err(invalid("response runs past its Content-Length"));
+    }
+    Ok((code, body))
+}
+
+/// Parses a request line like `GET /topk?node=1&k=5 HTTP/1.1` into the
+/// method and a [`Target`], accepting only the listed methods, decoding
+/// `%XX` escapes (and `+` as space), and rejecting duplicate parameters
+/// with a clear message.  The server admits `GET` and `POST` (for
+/// `POST /edges`); all query routes stay strictly `GET`.
 pub fn parse_request_line_methods(
     request_line: &str,
     methods: &[&str],
@@ -177,10 +236,7 @@ pub fn parse_request_line_methods(
     if !methods.contains(&method) {
         return Err((400, format!("unsupported method {method:?}")));
     }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
     let params = parse_query(query)?;
     Ok((method.to_string(), Target { path: path.to_string(), params }))
 }
@@ -204,7 +260,7 @@ pub fn reason(code: u16) -> &'static str {
 const COALESCE_BODY_BYTES: usize = 16 << 10;
 
 /// Writes a complete `Connection: close` HTTP/1.1 response.
-pub fn write_response<W: Write>(stream: W, code: u16, body: &str) -> std::io::Result<()> {
+pub fn write_response<W: Write>(stream: W, code: u16, body: &str) -> io::Result<()> {
     write_with_header(stream, code, "", body)
 }
 
@@ -217,7 +273,7 @@ fn write_with_header<W: Write>(
     code: u16,
     extra: &str,
     body: &str,
-) -> std::io::Result<()> {
+) -> io::Result<()> {
     let coalesce = body.len() <= COALESCE_BODY_BYTES;
     let mut head = String::with_capacity(128 + extra.len() + if coalesce { body.len() } else { 0 });
     let _ = write!(
@@ -237,9 +293,8 @@ fn write_with_header<W: Write>(
 }
 
 /// Writes the JSON error body for a `(code, message)` routing error.
-pub fn write_error<W: Write>(stream: W, code: u16, msg: &str) -> std::io::Result<()> {
-    let body = format!("{{\"error\":{}}}", json_string(msg));
-    write_response(stream, code, &body)
+pub fn write_error<W: Write>(stream: W, code: u16, msg: &str) -> io::Result<()> {
+    write_response(stream, code, &crate::render::error(msg))
 }
 
 /// [`write_error`] with a `Retry-After: <seconds>` header — the shed
@@ -249,34 +304,25 @@ pub fn write_error_retry_after<W: Write>(
     code: u16,
     msg: &str,
     retry_after_s: u64,
-) -> std::io::Result<()> {
-    let body = format!("{{\"error\":{}}}", json_string(msg));
-    write_with_header(stream, code, &format!("Retry-After: {retry_after_s}\r\n"), &body)
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+) -> io::Result<()> {
+    let extra = format!("Retry-After: {retry_after_s}\r\n");
+    write_with_header(stream, code, &extra, &crate::render::error(msg))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::net::TcpListener;
+
+    /// Parses a request line that must be a `GET`.
+    fn parse_get(line: &str) -> Result<Target, (u16, String)> {
+        parse_request_line_methods(line, &["GET"]).map(|(_, target)| target)
+    }
 
     #[test]
     fn parses_path_and_params() {
-        let t = parse_request_line("GET /topk?node=1&k=5 HTTP/1.1").unwrap();
+        let t = parse_get("GET /topk?node=1&k=5 HTTP/1.1").unwrap();
         assert_eq!(t.path, "/topk");
         assert_eq!(t.require("node").unwrap(), "1");
         assert_eq!(t.get("k"), Some("5"));
@@ -286,7 +332,7 @@ mod tests {
 
     #[test]
     fn rejects_non_get() {
-        assert_eq!(parse_request_line("POST /health HTTP/1.1").unwrap_err().0, 400);
+        assert_eq!(parse_get("POST /health HTTP/1.1").unwrap_err().0, 400);
     }
 
     #[test]
@@ -301,7 +347,7 @@ mod tests {
 
     #[test]
     fn encoded_query_decodes_in_place() {
-        let t = parse_request_line("GET /query?nodes=1%2C3 HTTP/1.1").unwrap();
+        let t = parse_get("GET /query?nodes=1%2C3 HTTP/1.1").unwrap();
         assert_eq!(t.get("nodes"), Some("1,3"));
     }
 
@@ -316,14 +362,6 @@ mod tests {
             vec![("a".into(), "1".into()), ("b".into(), "2".into())]
         );
         assert_eq!(parse_query("").unwrap(), Vec::<(String, String)>::new());
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b"), "\"a\\\"b\"");
-        assert_eq!(json_string("back\\slash"), "\"back\\\\slash\"");
-        assert_eq!(json_string("tab\there"), "\"tab\\u0009here\"");
     }
 
     #[test]
@@ -359,7 +397,7 @@ mod tests {
         for value in ["abc", "-1"] {
             let raw = format!("POST /edges HTTP/1.1\r\nContent-Length: {value}\r\n\r\nbody");
             let err = read_request_with_body(raw.as_bytes()).unwrap_err();
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{value}");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{value}");
             assert!(err.to_string().contains(value), "{err}");
         }
     }
@@ -374,6 +412,148 @@ mod tests {
                 "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {len}\r\nConnection: close\r\n\r\n{body}"
             );
             assert!(buf == expected.as_bytes(), "len {len}");
+        }
+    }
+
+    #[test]
+    fn heads_past_the_caps_are_refused() {
+        let pad = "a".repeat(MAX_HEAD_BYTES);
+        let long_line = format!("GET /health?pad={pad} HTTP/1.1\r\n\r\n");
+        let long_header = format!("GET /health HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n");
+        let many = format!("GET /health HTTP/1.1\r\n{}\r\n", "X: y\r\n".repeat(MAX_HEADERS + 1));
+        for raw in [long_line, long_header, many] {
+            let err = read_request_with_body(raw.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+        // Right at the caps is fine.
+        let fits = format!("GET /health HTTP/1.1\r\n{}\r\n", "X: y\r\n".repeat(MAX_HEADERS));
+        assert_eq!(
+            read_request_with_body(fits.as_bytes()).unwrap().line,
+            "GET /health HTTP/1.1\r\n"
+        );
+        let line = format!("GET /{} HTTP/1.1\r\n", "a".repeat(MAX_HEAD_BYTES - 18));
+        let fits = format!("{line}\r\n");
+        assert_eq!(fits.len(), MAX_HEAD_BYTES);
+        assert_eq!(read_request_with_body(fits.as_bytes()).unwrap().line, line);
+    }
+
+    #[test]
+    fn truncated_requests_are_errors() {
+        for raw in [
+            "",
+            "GET /health HTTP/1.1",
+            "GET /health HTTP/1.1\r\nHost: x\r\n",
+            "POST /edges HTTP/1.1\r\nContent-Length: 9\r\n\r\nabc",
+        ] {
+            let err = read_request_with_body(raw.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{raw:?}: {err}");
+        }
+        let raw = "POST /edges HTTP/1.1\r\nContent-Length: 1\r\ncontent-length: 1\r\n\r\nab";
+        assert!(read_request_with_body(raw.as_bytes()).is_err(), "repeated Content-Length");
+    }
+
+    /// Serves one connection: reads the request head, answers `response`
+    /// verbatim and closes.
+    fn peer(response: &'static [u8]) -> String {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let _ = read_head(&mut BufReader::new(&stream));
+            let _ = stream.write_all(response);
+        });
+        addr
+    }
+
+    #[test]
+    fn the_client_reads_exactly_the_declared_body() {
+        let wait = Duration::from_secs(10);
+        let addr = peer(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello");
+        assert_eq!(request(&addr, "GET", "/", None, wait).unwrap(), (200, "hello".to_string()));
+        let addr = peer(b"HTTP/1.1 404 Not Found\r\ncontent-length: 0\r\n\r\n");
+        assert_eq!(request(&addr, "POST", "/x", Some("{}"), wait).unwrap(), (404, String::new()));
+    }
+
+    #[test]
+    fn the_client_refuses_truncated_and_unframed_responses() {
+        let wait = Duration::from_secs(10);
+        for response in [
+            // 14 of the 23 declared bytes: never a 200 with half a body.
+            &b"HTTP/1.1 200 OK\r\nContent-Length: 23\r\n\r\n{\"lo\":0,\"hi\":1"[..],
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2x\r\n\r\n{}",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}{}",
+            b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n{}",
+            b"HTTP/1.1 200 OK\r\nContent-Le",
+            b"",
+            b"{\"lo\":0}\r\nContent-Length: 0\r\n\r\n",
+            b"HTTP/1.1 2000 OK\r\nContent-Length: 0\r\n\r\n",
+        ] {
+            let got = request(&peer(response), "GET", "/shard/range", None, wait);
+            assert!(got.is_err(), "{:?} → {got:?}", String::from_utf8_lossy(response));
+        }
+    }
+
+    /// A source of bytes that counts how many were taken from it.
+    struct Counted<'a> {
+        bytes: &'a [u8],
+        taken: usize,
+    }
+
+    impl Read for Counted<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.bytes[self.taken..].len().min(buf.len());
+            buf[..n].copy_from_slice(&self.bytes[self.taken..self.taken + n]);
+            self.taken += n;
+            Ok(n)
+        }
+    }
+
+    /// Pieces a head is made of, so random streams are near-misses of
+    /// real heads rather than pure noise.
+    const PIECES: [&[u8]; 9] = [
+        b"GET /topk?node=1 HTTP/1.1",
+        b"\r\n",
+        b"\n",
+        b"Content-Length: ",
+        b"42",
+        b":",
+        b"x",
+        b"\xff\xfe",
+        b"\r",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn arbitrary_streams_never_panic_or_buffer_past_the_cap(
+            picks in proptest::collection::vec((0usize..PIECES.len(), 0usize..4), 0..64),
+            bulk in 0usize..(3 * MAX_HEAD_BYTES),
+            bulk_piece in 0usize..PIECES.len(),
+        ) {
+            let mut bytes = Vec::new();
+            for &(piece, times) in &picks {
+                for _ in 0..times {
+                    bytes.extend_from_slice(PIECES[piece]);
+                }
+            }
+            // A long run of one piece: past the byte cap or the header
+            // count, or neither.
+            while bytes.len() < bulk {
+                bytes.extend_from_slice(PIECES[bulk_piece]);
+            }
+            let mut source = Counted { bytes: &bytes, taken: 0 };
+            let mut reader = BufReader::new(&mut source);
+            let head = read_head(&mut reader);
+            let buffered = reader.capacity();
+            drop(reader);
+            // Whatever happened, the reader held at most the cap plus one
+            // `BufReader` fill.
+            prop_assert!(source.taken <= MAX_HEAD_BYTES + buffered, "took {}", source.taken);
+            if let Ok((line, _)) = head {
+                prop_assert!(line.len() <= MAX_HEAD_BYTES);
+                prop_assert!(line.ends_with('\n'));
+            }
         }
     }
 

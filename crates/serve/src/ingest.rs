@@ -16,13 +16,15 @@
 //!   keys on it, and checkpoints stamp it into the artifact header so a
 //!   restart knows exactly which version it reloaded.
 //!
-//! The wire format for `POST /edges` is JSON lines, one op per line:
+//! The wire format for `POST /edges` is JSON lines, one op per line,
+//! each read by the strict [`crate::json`] reader ([`parse_ops`]):
 //!
 //! ```text
 //! {"op":"insert","x":1,"y":4}
 //! {"op":"delete","x":0,"y":2}
 //! ```
 
+use crate::json::{self, Value};
 use crate::metrics::Metrics;
 use crate::snapshot::SnapshotHandle;
 use csrplus_core::dynamic::DynamicCsrPlus;
@@ -60,48 +62,34 @@ impl EdgeOp {
 }
 
 /// Parses a `POST /edges` body: JSON lines like
-/// `{"op":"insert","x":1,"y":4}`, blank lines ignored.  Errors name the
+/// `{"op":"insert","x":1,"y":4}`, blank lines ignored.  Every other line
+/// must be one JSON object with `op` ∈ {insert, delete} and integer node
+/// ids `x` and `y`; keys beyond those are ignored.  Errors name the
 /// offending line so a client batching thousands of edits can find it.
 pub fn parse_ops(body: &str) -> Result<Vec<EdgeOp>, String> {
     let mut ops = Vec::new();
     for (idx, line) in body.lines().enumerate() {
         let line = line.trim();
-        if line.is_empty() {
-            continue;
+        if !line.is_empty() {
+            ops.push(parse_op(line).map_err(|e| format!("line {}: {e}", idx + 1))?);
         }
-        let lineno = idx + 1;
-        let op = field_str(line, "op")
-            .ok_or_else(|| format!("line {lineno}: missing or non-string \"op\""))?;
-        let x = field_u32(line, "x")
-            .ok_or_else(|| format!("line {lineno}: missing or invalid \"x\""))?;
-        let y = field_u32(line, "y")
-            .ok_or_else(|| format!("line {lineno}: missing or invalid \"y\""))?;
-        ops.push(match op {
-            "insert" => EdgeOp::Insert { x, y },
-            "delete" => EdgeOp::Delete { x, y },
-            other => return Err(format!("line {lineno}: unknown op {other:?}")),
-        });
     }
     Ok(ops)
 }
 
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = line[at..].trim_start().strip_prefix('"')?;
-    let end = rest.find('"')?;
-    Some(&rest[..end])
-}
-
-fn field_u32(line: &str, key: &str) -> Option<u32> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = line[at..].trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    if end == 0 {
-        return None;
+fn parse_op(line: &str) -> Result<EdgeOp, String> {
+    let value = json::parse(line)?;
+    let op = value.get("op").and_then(Value::as_str).ok_or("missing or non-string \"op\"")?;
+    let node = |key: &str| {
+        let id = value.get(key).and_then(Value::as_u64).and_then(|v| u32::try_from(v).ok());
+        id.ok_or_else(|| format!("missing or invalid {key:?}"))
+    };
+    let (x, y) = (node("x")?, node("y")?);
+    match op {
+        "insert" => Ok(EdgeOp::Insert { x, y }),
+        "delete" => Ok(EdgeOp::Delete { x, y }),
+        other => Err(format!("unknown op {other:?}")),
     }
-    rest[..end].parse().ok()
 }
 
 /// Tuning for the update thread.
@@ -317,7 +305,29 @@ mod tests {
         assert!(err.contains("upsert"), "{err}");
         assert!(parse_ops("{\"op\":\"insert\",\"x\":1}").unwrap_err().contains("\"y\""));
         assert!(parse_ops("{\"op\":\"insert\",\"x\":-1,\"y\":2}").unwrap_err().contains("\"x\""));
-        assert!(parse_ops("not json").unwrap_err().contains("\"op\""));
+        assert!(parse_ops("not json").unwrap_err().starts_with("line 1: "));
+    }
+
+    #[test]
+    fn only_whole_objects_with_integer_ids_parse() {
+        let ok = "{\"op\":\"insert\",\"x\":1,\"y\":4}\n";
+        for bad in [
+            "{\"op\":\"insert\",\"x\":1e3,\"y\":4}",
+            "{\"op\":\"insert\",\"x\":1.5,\"y\":4}",
+            "{\"op\":\"insert\",\"x\":12abc,\"y\":4}",
+            "{\"op\":\"insert\",\"x\":1,\"x\":2,\"y\":4}",
+            "\"op\":\"insert\",\"x\":1,\"y\":4",
+            "{\"op\":\"insert\",\"x\":\"1\",\"y\":4}",
+            "{\"op\":\"insert\",\"x\":4294967296,\"y\":4}",
+            "{\"op\":\"insert\",\"x\":1,\"y\":4} {}",
+            "[{\"op\":\"insert\",\"x\":1,\"y\":4}]",
+        ] {
+            let err = parse_ops(&format!("{ok}{bad}")).unwrap_err();
+            assert!(err.starts_with("line 2: "), "{bad}: {err}");
+        }
+        // Extra keys and whitespace are fine.
+        let ops = parse_ops("{ \"y\" : 2 , \"op\":\"delete\", \"x\":3, \"note\":[null]}").unwrap();
+        assert_eq!(ops, vec![EdgeOp::Delete { x: 3, y: 2 }]);
     }
 
     #[test]

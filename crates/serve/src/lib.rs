@@ -26,10 +26,13 @@
 //! model's own answer rendered by [`render`]: one way to compute each
 //! answer, whatever the batching, caching or sharding.
 //!
+//! [`http`] frames every HTTP/1.1 message (the bounded server reader and
+//! the one client) and [`json`] owns JSON syntax (writer and reader).
+//!
 //! For horizontal scale-out the same server runs in two more roles:
 //! a **shard** (`ServeConfig::shard_rows`) serving one contiguous slice
-//! of internal rows off a shared mmap'd artifact via the [`wire`]
-//! protocol (`/shard/topk`, `/shard/columns`, `/shard/range`), and a
+//! of internal rows off a shared mmap'd artifact (`/shard/topk`,
+//! `/shard/columns`, `/shard/range`; scores hex-coded by [`wire`]), and a
 //! **coordinator** (`ServeConfig::shards`) that scatters public queries
 //! across shards and gathers the partial answers.  The [`coordinator`]
 //! keeps per-shard split Cauchy–Schwarz bound summaries so top-k
@@ -47,6 +50,7 @@ pub mod coordinator;
 pub mod gauge;
 pub mod http;
 pub mod ingest;
+pub mod json;
 pub mod metrics;
 pub mod pool;
 pub mod render;

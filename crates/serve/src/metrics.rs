@@ -2,6 +2,7 @@
 //! route, and the batch-size distribution — everything `GET /metrics`
 //! reports.
 
+use crate::json::Json;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -45,17 +46,7 @@ impl Route {
     ];
 
     fn index(self) -> usize {
-        match self {
-            Route::Health => 0,
-            Route::Metrics => 1,
-            Route::Similarity => 2,
-            Route::TopK => 3,
-            Route::Query => 4,
-            Route::ShardRange => 5,
-            Route::ShardColumns => 6,
-            Route::ShardTopK => 7,
-            Route::Edges => 8,
-        }
+        self as usize // declaration order, as in `ALL`
     }
 
     fn name(self) -> &'static str {
@@ -150,26 +141,20 @@ impl Histogram {
         1u64 << (Self::BUCKETS - 1)
     }
 
-    /// Renders as `{"count":N,"sum":S,"p50":…,"p99":…,"p999":…,
+    /// Writes `{"count":N,"sum":S,"p50":…,"p99":…,"p999":…,
     /// "buckets":{"le_2^i":c,…}}`, with empty buckets omitted for
     /// compactness.
-    pub fn render_json(&self) -> String {
-        let mut buckets: Vec<String> = Vec::new();
+    pub(crate) fn write_json(&self, out: &mut Json) {
+        out.open(b'{').key("count").value(self.count()).key("sum").value(self.sum());
+        out.key("p50").value(self.quantile(0.50)).key("p99").value(self.quantile(0.99));
+        out.key("p999").value(self.quantile(0.999)).key("buckets").open(b'{');
         for (i, b) in self.buckets.iter().enumerate() {
             let c = b.load(Ordering::Relaxed);
             if c > 0 {
-                buckets.push(format!("\"le_{}\":{c}", 1u64 << i));
+                out.key(&["le_", &(1u64 << i).to_string()].concat()).value(c);
             }
         }
-        format!(
-            "{{\"count\":{},\"sum\":{},\"p50\":{},\"p99\":{},\"p999\":{},\"buckets\":{{{}}}}}",
-            self.count(),
-            self.sum(),
-            self.quantile(0.50),
-            self.quantile(0.99),
-            self.quantile(0.999),
-            buckets.join(",")
-        )
+        out.close(b'}').close(b'}');
     }
 }
 
@@ -278,17 +263,6 @@ impl Metrics {
         *count
     }
 
-    /// The per-client shed ledger as a JSON object with deterministic
-    /// (sorted) key order.
-    pub fn shed_clients_json(&self) -> String {
-        let clients = self.shed_clients.lock().expect("shed ledger poisoned");
-        let mut entries: Vec<(&String, &u64)> = clients.iter().collect();
-        entries.sort();
-        let body: Vec<String> =
-            entries.iter().map(|(k, v)| format!("{}:{v}", crate::http::json_string(k))).collect();
-        format!("{{{}}}", body.join(","))
-    }
-
     /// Requests served on `route` so far.
     pub fn requests(&self, route: Route) -> u64 {
         self.requests[route.index()].load(Ordering::Relaxed)
@@ -299,60 +273,64 @@ impl Metrics {
         Route::ALL.iter().map(|&r| self.requests(r)).sum()
     }
 
-    /// The `GET /metrics` body: request counts, cache and batch
+    /// The counters as one JSON object: request counts, cache and batch
     /// statistics, and per-route latency histograms.
     pub fn render_json(&self) -> String {
-        let mut routes: Vec<String> = Vec::new();
-        for route in Route::ALL {
-            routes.push(format!(
-                "\"{}\":{{\"requests\":{},\"latency_us\":{}}}",
-                route.name(),
-                self.requests(route),
-                self.latency_us[route.index()].render_json()
-            ));
-        }
+        let mut out = Json::object(4096);
+        self.write_fields(&mut out);
+        out.finish()
+    }
+
+    /// Writes the counters' fields into the open `/metrics` object.
+    pub(crate) fn write_fields(&self, out: &mut Json) {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        format!(
-            concat!(
-                "{{\"requests_total\":{},",
-                "\"routes\":{{{}}},",
-                "\"errors\":{{\"client\":{},\"io\":{},\"queue_rejections\":{}}},",
-                "\"batcher\":{{\"model_evaluations\":{},\"batched_requests\":{},\"batch_sizes\":{}}},",
-                "\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"admission_rejects\":{}}},",
-                "\"shed\":{{\"total\":{},\"last_retry_after_s\":{}}},",
-                "\"shed_clients\":{},",
-                "\"degraded\":{{\"requests\":{},\"served_rank\":{}}},",
-                "\"ingest\":{{\"epoch\":{},\"updates_applied\":{},\"epochs_published\":{},",
-                "\"rebuilds\":{},\"checkpoints\":{}}},",
-                "\"boot\":{{\"cold_start_us\":{},\"model_mapped\":{},",
-                "\"model_precision\":\"{}\"}}}}"
-            ),
-            self.total_requests(),
-            routes.join(","),
-            load(&self.client_errors),
-            load(&self.io_errors),
-            load(&self.queue_rejections),
-            load(&self.model_evaluations),
-            load(&self.batched_requests),
-            self.batch_sizes.render_json(),
-            load(&self.cache_hits),
-            load(&self.cache_misses),
-            load(&self.cache_evictions),
-            load(&self.cache_admission_rejects),
-            load(&self.shed_total),
-            load(&self.shed_last_retry_after_s),
-            self.shed_clients_json(),
-            load(&self.degraded_requests),
-            self.served_rank.render_json(),
-            load(&self.ingest_epoch),
-            load(&self.ingest_updates_applied),
-            load(&self.ingest_epochs_published),
-            load(&self.ingest_rebuilds),
-            load(&self.ingest_checkpoints),
-            load(&self.cold_start_us),
-            load(&self.model_mapped),
-            if load(&self.model_f32) == 1 { "f32" } else { "f64" },
-        )
+        out.key("requests_total").value(self.total_requests()).key("routes").open(b'{');
+        for route in Route::ALL {
+            out.key(route.name()).open(b'{').key("requests").value(self.requests(route));
+            out.key("latency_us");
+            self.latency_us[route.index()].write_json(out);
+            out.close(b'}');
+        }
+        out.close(b'}').key("errors").counts(&[
+            ("client", load(&self.client_errors)),
+            ("io", load(&self.io_errors)),
+            ("queue_rejections", load(&self.queue_rejections)),
+        ]);
+        out.key("batcher").open(b'{');
+        out.key("model_evaluations").value(load(&self.model_evaluations));
+        out.key("batched_requests").value(load(&self.batched_requests)).key("batch_sizes");
+        self.batch_sizes.write_json(out);
+        out.close(b'}').key("cache").counts(&[
+            ("hits", load(&self.cache_hits)),
+            ("misses", load(&self.cache_misses)),
+            ("evictions", load(&self.cache_evictions)),
+            ("admission_rejects", load(&self.cache_admission_rejects)),
+        ]);
+        out.key("shed").counts(&[
+            ("total", load(&self.shed_total)),
+            ("last_retry_after_s", load(&self.shed_last_retry_after_s)),
+        ]);
+        // The per-client ledger, in sorted (deterministic) key order.
+        let ledger = self.shed_clients.lock().expect("shed ledger poisoned");
+        let mut clients: Vec<(&String, &u64)> = ledger.iter().collect();
+        clients.sort();
+        out.key("shed_clients").open(b'{');
+        for (client, &count) in clients {
+            out.key(client).value(count);
+        }
+        out.close(b'}').key("degraded").open(b'{');
+        out.key("requests").value(load(&self.degraded_requests)).key("served_rank");
+        self.served_rank.write_json(out);
+        out.close(b'}').key("ingest").counts(&[
+            ("epoch", load(&self.ingest_epoch)),
+            ("updates_applied", load(&self.ingest_updates_applied)),
+            ("epochs_published", load(&self.ingest_epochs_published)),
+            ("rebuilds", load(&self.ingest_rebuilds)),
+            ("checkpoints", load(&self.ingest_checkpoints)),
+        ]);
+        out.key("boot").open(b'{').key("cold_start_us").value(load(&self.cold_start_us));
+        out.key("model_mapped").value(load(&self.model_mapped)).key("model_precision");
+        out.string(if load(&self.model_f32) == 1 { "f32" } else { "f64" }).close(b'}');
     }
 }
 
@@ -367,7 +345,7 @@ mod tests {
             h.observe(v);
         }
         assert_eq!(h.count(), 10);
-        let json = h.render_json();
+        let json = crate::json::render(|out| h.write_json(out));
         // 0 and 1 land in le_1; 2 in le_2; 3 and 4 in le_4; 5 and 8 in
         // le_8; 9 in le_16; 1024 in le_1024.
         assert!(json.contains("\"le_1\":2"), "{json}");
@@ -425,7 +403,7 @@ mod tests {
             let v = h.quantile(q);
             assert!((512..=1024).contains(&v), "q={q}: {v}");
         }
-        let json = h.render_json();
+        let json = crate::json::render(|out| h.write_json(out));
         assert!(json.contains("\"p50\":"), "{json}");
         assert!(json.contains("\"p99\":"), "{json}");
         assert!(json.contains("\"p999\":"), "{json}");
@@ -454,7 +432,6 @@ mod tests {
         assert_eq!(m.record_shed_for_client("10.0.0.2"), 1);
         assert_eq!(m.record_shed_for_client("10.0.0.1"), 1);
         assert_eq!(m.record_shed_for_client("10.0.0.2"), 2);
-        assert_eq!(m.shed_clients_json(), "{\"10.0.0.1\":1,\"10.0.0.2\":2}");
         assert!(m.render_json().contains("\"shed_clients\":{\"10.0.0.1\":1,\"10.0.0.2\":2}"));
     }
 

@@ -2,126 +2,22 @@
 //! through these functions, so identical scores give byte-identical
 //! output.
 //!
-//! Every body is streamed front to back into one reserved buffer by one
-//! small private JSON writer.  Integers go through their `Display` impls;
-//! scores go through `f64fmt`, a Ryū shortest round-trip writer whose
-//! output is byte-identical to `f64`'s `Display` (`format!("{v}")`) at
-//! well under half of `core::fmt`'s cost per value — and formatting
-//! scores is most of what rendering a `/query` body costs.  Its tests
-//! compare it with `format!("{v}")` on random bit patterns, every power
-//! of two, exact decimal ties, integers, subnormals and real model
-//! columns (and an ignored release-mode sweep of 10⁸ more), and a
-//! proptest below checks every body against the `format!`/`join`
-//! renderers kept as the `#[cfg(test)]` oracle.
+//! Every body is streamed front to back into one reserved buffer by the
+//! [`crate::json`] writer, and a proptest below checks every body
+//! against the `format!`/`join` renderers kept as the `#[cfg(test)]`
+//! oracle.
 
-mod f64fmt;
-
+use crate::cache::ColumnCache;
+use crate::coordinator::GatherMetrics;
+use crate::json::Json;
+use crate::metrics::Metrics;
 use std::cmp::Ordering;
-use std::fmt::Display;
 use std::io::Write as _;
-
-/// The integers a body holds: node ids, counts, epochs.
-trait Integer: Display {}
-impl Integer for usize {}
-impl Integer for u64 {}
-
-/// One JSON body written front to back into a single buffer.
-///
-/// The only structural rule is the separator: before any key, value or
-/// container, a comma is written unless the buffer ends in `{`, `[` or
-/// `:` — so the same calls write object fields and array items.
-///
-/// The buffer is bytes, not a `String`, so scores append their ASCII
-/// digits with no per-value UTF-8 check; [`Json::finish`] checks the
-/// whole body once.
-struct Json(Vec<u8>);
-
-impl Json {
-    /// Starts an object body with `capacity` bytes reserved.
-    fn object(capacity: usize) -> Json {
-        let mut out = Vec::with_capacity(capacity);
-        out.push(b'{');
-        Json(out)
-    }
-
-    /// Reopens a finished object body so more fields can follow.
-    fn reopen(body: String) -> Json {
-        debug_assert!(body.ends_with('}'), "field tagging expects a JSON object body");
-        let mut body = body.into_bytes();
-        body.pop();
-        Json(body)
-    }
-
-    fn sep(&mut self) {
-        if !matches!(self.0.last(), Some(b'{' | b'[' | b':')) {
-            self.0.push(b',');
-        }
-    }
-
-    /// Writes `"name":`; the next value call fills it.
-    fn key(&mut self, name: &str) -> &mut Json {
-        self.sep();
-        self.0.push(b'"');
-        self.0.extend_from_slice(name.as_bytes());
-        self.0.extend_from_slice(b"\":");
-        self
-    }
-
-    /// Writes one integer through its `Display` impl.
-    fn value(&mut self, v: impl Integer) -> &mut Json {
-        self.sep();
-        let _ = write!(self.0, "{v}");
-        self
-    }
-
-    /// Writes one score exactly as `format!("{v}")` would.
-    fn score(&mut self, v: f64) -> &mut Json {
-        self.sep();
-        f64fmt::write_f64(&mut self.0, v);
-        self
-    }
-
-    /// Writes an already-rendered JSON fragment as one value.
-    fn raw(&mut self, fragment: &str) -> &mut Json {
-        self.sep();
-        self.0.extend_from_slice(fragment.as_bytes());
-        self
-    }
-
-    /// Writes `"…"` around whatever `fill` appends (no escaping: callers
-    /// write hex digits, ids and colons only).
-    fn string_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> &mut Json {
-        self.sep();
-        self.0.push(b'"');
-        fill(&mut self.0);
-        self.0.push(b'"');
-        self
-    }
-
-    /// Opens an array (`[`) or object (`{`).
-    fn open(&mut self, bracket: u8) -> &mut Json {
-        self.sep();
-        self.0.push(bracket);
-        self
-    }
-
-    /// Closes the innermost container with `]` or `}`.
-    fn close(&mut self, bracket: u8) -> &mut Json {
-        self.0.push(bracket);
-        self
-    }
-
-    /// Closes the body's object and hands the buffer back.
-    fn finish(mut self) -> String {
-        self.0.push(b'}');
-        String::from_utf8(self.0).expect("bodies are written from `str`s and ASCII digits")
-    }
-}
 
 /// `GET /health` body.
 pub fn health(nodes: usize, rank: usize) -> String {
     let mut out = Json::object(48);
-    out.key("status").raw("\"ok\"").key("nodes").value(nodes).key("rank").value(rank);
+    out.key("status").string("ok").key("nodes").value(nodes).key("rank").value(rank);
     out.finish()
 }
 
@@ -192,12 +88,26 @@ pub fn served_rank(body: String, t: usize) -> String {
 
 /// `GET /metrics` body: the server's counters with the per-shard cache
 /// statistics and (on a coordinator) the gather block appended.
-pub fn metrics(counters: String, cache_shards: &str, coordinator: Option<&str>) -> String {
-    let mut out = Json::reopen(counters);
-    out.key("cache_shards").raw(cache_shards);
-    if let Some(block) = coordinator {
-        out.key("coordinator").raw(block);
+pub fn metrics(
+    counters: &Metrics,
+    cache: &ColumnCache,
+    coordinator: Option<&GatherMetrics>,
+) -> String {
+    let mut out = Json::object(4096);
+    counters.write_fields(&mut out);
+    out.key("cache_shards");
+    cache.write_stats_json(&mut out);
+    if let Some(gather) = coordinator {
+        out.key("coordinator");
+        gather.write_json(&mut out);
     }
+    out.finish()
+}
+
+/// The body of every error response: `{"error":"<message>"}`.
+pub fn error(msg: &str) -> String {
+    let mut out = Json::object(16 + msg.len());
+    out.key("error").string(msg);
     out.finish()
 }
 
@@ -368,17 +278,6 @@ pub(crate) mod oracle {
         body
     }
 
-    pub fn metrics(counters: String, cache_shards: &str, coordinator: Option<&str>) -> String {
-        let mut body = counters;
-        body.pop();
-        body.push_str(&format!(",\"cache_shards\":{cache_shards}"));
-        if let Some(block) = coordinator {
-            body.push_str(&format!(",\"coordinator\":{block}"));
-        }
-        body.push('}');
-        body
-    }
-
     pub fn edges(applied: usize, ignored: usize, epoch: u64) -> String {
         format!("{{\"applied\":{applied},\"ignored\":{ignored},\"epoch\":{epoch}}}")
     }
@@ -449,13 +348,102 @@ mod tests {
     fn server_side_bodies_match_their_format_renderings() {
         assert_eq!(edges(2, 1, 9), oracle::edges(2, 1, 9));
         assert_eq!(shard_range(3, 7, 10), oracle::shard_range(3, 7, 10));
-        let counters = "{\"requests_total\":4,\"boot\":{\"x\":1}}".to_string();
-        for coordinator in [None, Some("{\"scatter_requests\":0,\"shard_latency_us\":[]}")] {
-            assert_eq!(
-                metrics(counters.clone(), "[{\"hits\":1},{\"hits\":0}]", coordinator),
-                oracle::metrics(counters.clone(), "[{\"hits\":1},{\"hits\":0}]", coordinator)
-            );
+        assert_eq!(error("bad \"x\"\t"), "{\"error\":\"bad \\\"x\\\"\\u0009\"}");
+    }
+
+    /// `/metrics` for a fixed counter state, byte for byte as the
+    /// `format!`/`join` section renderers wrote it.
+    #[test]
+    fn metrics_bytes_are_pinned() {
+        use crate::cache::Column;
+        use crate::metrics::Route;
+        use std::sync::atomic::Ordering::Relaxed;
+        use std::sync::Arc;
+        use std::time::Duration;
+
+        let m = Metrics::new();
+        m.record_request(Route::TopK, Duration::from_micros(300));
+        m.record_request(Route::TopK, Duration::from_micros(5));
+        m.record_request(Route::Edges, Duration::from_micros(70_000));
+        for (counter, v) in [
+            (&m.client_errors, 2),
+            (&m.io_errors, 1),
+            (&m.queue_rejections, 3),
+            (&m.model_evaluations, 4),
+            (&m.batched_requests, 9),
+            (&m.cache_evictions, 7),
+            (&m.shed_total, 3),
+            (&m.shed_last_retry_after_s, 2),
+            (&m.degraded_requests, 1),
+            (&m.ingest_epoch, 3),
+            (&m.ingest_updates_applied, 17),
+            (&m.ingest_epochs_published, 3),
+            (&m.ingest_rebuilds, 1),
+            (&m.ingest_checkpoints, 2),
+        ] {
+            counter.store(v, Relaxed);
         }
+        m.batch_sizes.observe(1);
+        m.batch_sizes.observe(8);
+        for client in ["10.0.0.2", "10.0.0.2", "10.0.0.1", "a\"b\\c\td"] {
+            m.record_shed_for_client(client);
+        }
+        m.served_rank.observe(4);
+        m.record_boot(Duration::from_micros(1234), true, true);
+        let cache = ColumnCache::with_admission(2, 2, Arc::new(Metrics::new()), true);
+        let col = |v: f64| -> Column { Arc::from(vec![v].into_boxed_slice()) };
+        cache.insert(0, 0, col(0.0));
+        cache.insert(1, 0, col(1.0));
+        cache.get(0, 0);
+        cache.get(3, 0);
+        cache.get(1, 1);
+        cache.insert(2, 0, col(2.0));
+        cache.get(2, 0);
+        cache.insert(4, 0, col(4.0));
+        let gather = GatherMetrics::new(2);
+        gather.scatter_requests.store(4, Relaxed);
+        gather.scatter_skipped_shards.store(1, Relaxed);
+        gather.scatter_hedges.store(2, Relaxed);
+        gather.scatter_fanout.observe(2);
+        gather.gather_merge_us.observe(17);
+        gather.shard_latency_us[1].observe(900);
+
+        let expected = [
+            "{\"requests_total\":3,\"routes\":{\"health\":{\"requests\":0,\"latency_us\":{\"count\":0",
+            ",\"sum\":0,\"p50\":0,\"p99\":0,\"p999\":0,\"buckets\":{}}},\"metrics\":{\"requests\":0,\"",
+            "latency_us\":{\"count\":0,\"sum\":0,\"p50\":0,\"p99\":0,\"p999\":0,\"buckets\":{}}},\"si",
+            "milarity\":{\"requests\":0,\"latency_us\":{\"count\":0,\"sum\":0,\"p50\":0,\"p99\":0,\"p",
+            "999\":0,\"buckets\":{}}},\"topk\":{\"requests\":2,\"latency_us\":{\"count\":2,\"sum\":30",
+            "5,\"p50\":8,\"p99\":512,\"p999\":512,\"buckets\":{\"le_8\":1,\"le_512\":1}}},\"query\":{",
+            "\"requests\":0,\"latency_us\":{\"count\":0,\"sum\":0,\"p50\":0,\"p99\":0,\"p999\":0,\"bu",
+            "ckets\":{}}},\"shard_range\":{\"requests\":0,\"latency_us\":{\"count\":0,\"sum\":0,\"p50",
+            "\":0,\"p99\":0,\"p999\":0,\"buckets\":{}}},\"shard_columns\":{\"requests\":0,\"latency_u",
+            "s\":{\"count\":0,\"sum\":0,\"p50\":0,\"p99\":0,\"p999\":0,\"buckets\":{}}},\"shard_topk\"",
+            ":{\"requests\":0,\"latency_us\":{\"count\":0,\"sum\":0,\"p50\":0,\"p99\":0,\"p999\":0,\"",
+            "buckets\":{}}},\"edges\":{\"requests\":1,\"latency_us\":{\"count\":1,\"sum\":70000,\"p50",
+            "\":131072,\"p99\":131072,\"p999\":131072,\"buckets\":{\"le_131072\":1}}}},\"errors\":{\"",
+            "client\":2,\"io\":1,\"queue_rejections\":3},\"batcher\":{\"model_evaluations\":4,\"batch",
+            "ed_requests\":9,\"batch_sizes\":{\"count\":2,\"sum\":9,\"p50\":1,\"p99\":8,\"p999\":8,\"",
+            "buckets\":{\"le_1\":1,\"le_8\":1}}},\"cache\":{\"hits\":0,\"misses\":0,\"evictions\":7,\"",
+            "admission_rejects\":0},\"shed\":{\"total\":3,\"last_retry_after_s\":2},\"shed_clients\":",
+            "{\"10.0.0.1\":1,\"10.0.0.2\":2,\"a\\\"b\\\\c\\u0009d\":1},\"degraded\":{\"requests\":1,\"",
+            "served_rank\":{\"count\":1,\"sum\":4,\"p50\":4,\"p99\":4,\"p999\":4,\"buckets\":{\"le_4\"",
+            ":1}}},\"ingest\":{\"epoch\":3,\"updates_applied\":17,\"epochs_published\":3,\"rebuilds\"",
+            ":1,\"checkpoints\":2},\"boot\":{\"cold_start_us\":1234,\"model_mapped\":1,\"model_precis",
+            "ion\":\"f32\"},\"cache_shards\":[{\"hits\":1,\"misses\":1,\"evictions\":0,\"admission_re",
+            "jects\":2},{\"hits\":0,\"misses\":2,\"evictions\":0,\"admission_rejects\":0}],\"coordina",
+            "tor\":{\"scatter_requests\":4,\"skipped_shards\":1,\"hedges\":2,\"fanout\":{\"count\":1,",
+            "\"sum\":2,\"p50\":2,\"p99\":2,\"p999\":2,\"buckets\":{\"le_2\":1}},\"merge_us\":{\"count",
+            "\":1,\"sum\":17,\"p50\":32,\"p99\":32,\"p999\":32,\"buckets\":{\"le_32\":1}},\"shard_lat",
+            "ency_us\":[{\"count\":0,\"sum\":0,\"p50\":0,\"p99\":0,\"p999\":0,\"buckets\":{}},{\"coun",
+            "t\":1,\"sum\":900,\"p50\":1024,\"p99\":1024,\"p999\":1024,\"buckets\":{\"le_1024\":1}}]}",
+            "}",
+        ]
+        .concat();
+        assert_eq!(metrics(&m, &cache, Some(&gather)), expected);
+        let local = expected.split(",\"coordinator\":").next().unwrap().to_string() + "}";
+        assert_eq!(metrics(&m, &cache, None), local);
+        assert_eq!(crate::json::parse(&expected).unwrap().to_string(), expected);
     }
 
     #[test]

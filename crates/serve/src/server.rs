@@ -81,11 +81,6 @@ pub struct ServeConfig {
     /// default `0` degrades every opted-in request once the policy is
     /// enabled (deterministic, and what a saturated queue converges to).
     pub degrade_watermark: usize,
-    /// Column-cache entry time-to-live.  `None` (the default) keeps
-    /// entries until eviction — today's behaviour; `Some(ttl)` expires
-    /// them lazily on lookup, which bounds staleness for deployments
-    /// that mutate the model out-of-band.
-    pub cache_ttl: Option<Duration>,
 }
 
 impl Default for ServeConfig {
@@ -113,7 +108,6 @@ impl Default for ServeConfig {
             adaptive_linger: false,
             degrade_rank: None,
             degrade_watermark: 0,
-            cache_ttl: None,
         }
     }
 }
@@ -188,12 +182,11 @@ impl Server {
         let metrics = Arc::new(Metrics::new());
         let handle = Arc::new(handle);
         let gauge = Arc::new(LoadGauge::new(config.queue_depth));
-        let cache = Arc::new(ColumnCache::with_policies(
+        let cache = Arc::new(ColumnCache::with_admission(
             config.cache_capacity,
             config.cache_shards,
             Arc::clone(&metrics),
             config.cache_admission,
-            config.cache_ttl,
         ));
         let boot_n = handle.load().model().n();
         if let Some((lo, hi)) = config.shard_rows {
@@ -600,20 +593,16 @@ fn answer(
         }
         Route::Metrics => {
             let coordinator = match &ctx.engine {
-                Engine::Sharded(coord) => Some(coord.metrics.render_json()),
+                Engine::Sharded(coord) => Some(&coord.metrics),
                 Engine::Local(_) => None,
             };
-            Ok(render::metrics(
-                ctx.metrics.render_json(),
-                &ctx.cache.render_stats_json(),
-                coordinator.as_deref(),
-            ))
+            Ok(render::metrics(&ctx.metrics, &ctx.cache, coordinator))
         }
         Route::Similarity => {
             let a = parse_usize(target.require("a")?, "a")?;
             let b = parse_usize(target.require("b")?, "b")?;
             if let Engine::Sharded(coord) = &ctx.engine {
-                let s = coord.similarity_rank(snapshot, a, b, degrade)?;
+                let s = coord.similarity(snapshot, a, b, degrade)?;
                 return Ok(mark(render::similarity(a, b, s)));
             }
             if a >= model.n() {
@@ -632,7 +621,7 @@ fn answer(
                 None => 10,
             };
             if let Engine::Sharded(coord) = &ctx.engine {
-                let top = coord.top_k_rank(snapshot, node, k, degrade)?;
+                let top = coord.top_k(snapshot, node, k, degrade)?;
                 return Ok(mark(render::topk(node, &top)));
             }
             let col = column(node, degrade)?;
@@ -641,7 +630,7 @@ fn answer(
         Route::Query => {
             let nodes = parse_nodes(target)?;
             if let Engine::Sharded(coord) = &ctx.engine {
-                let columns = coord.columns_rank(snapshot, &nodes, degrade)?;
+                let columns = coord.columns(snapshot, &nodes, degrade)?;
                 let views: Vec<&[f64]> = columns.iter().map(|c| &c[..]).collect();
                 return Ok(mark(render::query(&nodes, &views)));
             }
@@ -697,7 +686,6 @@ fn answer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire;
     use csrplus_core::CsrPlusConfig;
     use csrplus_graph::{generators::figure1_graph, TransitionMatrix};
     use std::io::{Read as _, Write as _};
@@ -708,13 +696,11 @@ mod tests {
     }
 
     fn get(addr: SocketAddr, path: &str) -> (u16, String) {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(stream, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        let code: u16 = response.split_whitespace().nth(1).unwrap().parse().unwrap();
-        let body = response.split("\r\n\r\n").nth(1).unwrap_or("").to_string();
-        (code, body)
+        http::request(&addr.to_string(), "GET", path, None, POST_WAIT).unwrap()
+    }
+
+    fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
+        http::request(&addr.to_string(), "POST", path, Some(body), POST_WAIT).unwrap()
     }
 
     #[test]
@@ -786,7 +772,7 @@ mod tests {
             assert_eq!(get(addr, path).0, 400, "{path}");
         }
         assert_eq!(get(addr, "/nope").0, 404);
-        let (code, _) = wire::post(&addr.to_string(), "/health", "", POST_WAIT).unwrap();
+        let (code, _) = post(addr, "/health", "");
         assert_eq!(code, 400, "POST /health");
         handle.shutdown();
     }
@@ -1091,7 +1077,6 @@ mod tests {
         let handle =
             Server::start_ingesting(dynamic(), 0, ServeConfig::default(), IngestConfig::default())
                 .unwrap();
-        let addr = handle.addr().to_string();
 
         // Boot is epoch 0 and every response says so.
         let (code, body) = get(handle.addr(), "/health");
@@ -1101,9 +1086,7 @@ mod tests {
         assert!(before.ends_with(",\"epoch\":0}"), "{before}");
 
         // figure1 has no 1→4 edge: inserting it publishes epoch 1.
-        let (code, body) =
-            wire::post(&addr, "/edges", "{\"op\":\"insert\",\"x\":1,\"y\":4}\n", POST_WAIT)
-                .unwrap();
+        let (code, body) = post(handle.addr(), "/edges", "{\"op\":\"insert\",\"x\":1,\"y\":4}\n");
         assert_eq!(code, 200, "{body}");
         assert_eq!(body, "{\"applied\":1,\"ignored\":0,\"epoch\":1}");
 
@@ -1119,17 +1102,29 @@ mod tests {
         // Method discipline: /edges is POST-only, query routes GET-only.
         let (code, _) = get(handle.addr(), "/edges");
         assert_eq!(code, 400);
-        let (code, _) = wire::post(&addr, "/health", "", POST_WAIT).unwrap();
+        let (code, _) = post(handle.addr(), "/health", "");
         assert_eq!(code, 400);
         // Parse errors name the offending op.
-        let (code, body) =
-            wire::post(&addr, "/edges", "{\"op\":\"upsert\",\"x\":0,\"y\":1}", POST_WAIT).unwrap();
+        let (code, body) = post(handle.addr(), "/edges", "{\"op\":\"upsert\",\"x\":0,\"y\":1}");
         assert_eq!(code, 400);
         assert!(body.contains("upsert"), "{body}");
         // Out-of-bounds batches are rejected whole: still epoch 1.
-        let (code, _) =
-            wire::post(&addr, "/edges", "{\"op\":\"insert\",\"x\":0,\"y\":99}", POST_WAIT).unwrap();
+        let (code, _) = post(handle.addr(), "/edges", "{\"op\":\"insert\",\"x\":0,\"y\":99}");
         assert_eq!(code, 400);
+        // So are lines that are not one object with integer ids, each
+        // named by its line number.
+        for bad in [
+            "{\"op\":\"insert\",\"x\":1e3,\"y\":4}",
+            "{\"op\":\"insert\",\"x\":1.5,\"y\":4}",
+            "{\"op\":\"insert\",\"x\":12abc,\"y\":4}",
+            "{\"op\":\"insert\",\"x\":2,\"x\":1,\"y\":4}",
+            "\"op\":\"insert\",\"x\":2,\"y\":4",
+        ] {
+            let batch = format!("{{\"op\":\"insert\",\"x\":2,\"y\":4}}\n{bad}\n");
+            let (code, body) = post(handle.addr(), "/edges", &batch);
+            assert_eq!(code, 400, "{bad}: {body}");
+            assert!(body.contains("line 2"), "{bad}: {body}");
+        }
         let (_, body) = get(handle.addr(), "/health");
         assert!(body.ends_with(",\"epoch\":1}"), "{body}");
         handle.shutdown();
@@ -1138,9 +1133,7 @@ mod tests {
     #[test]
     fn ingestion_off_servers_reject_edges_and_never_tag_epochs() {
         let handle = Server::start(model(), 0, ServeConfig::default()).unwrap();
-        let addr = handle.addr().to_string();
-        let (code, body) =
-            wire::post(&addr, "/edges", "{\"op\":\"insert\",\"x\":1,\"y\":4}", POST_WAIT).unwrap();
+        let (code, body) = post(handle.addr(), "/edges", "{\"op\":\"insert\",\"x\":1,\"y\":4}");
         assert_eq!(code, 400);
         assert!(body.contains("disabled"), "{body}");
         // The byte-identity contract: no epoch tag anywhere.
@@ -1148,6 +1141,28 @@ mod tests {
             let (_, body) = get(handle.addr(), path);
             assert!(!body.contains("epoch"), "{path}: {body}");
         }
+        handle.shutdown();
+    }
+
+    #[test]
+    fn heads_past_the_caps_are_refused_and_the_server_carries_on() {
+        let handle = Server::start(model(), 0, ServeConfig::default()).unwrap();
+        let pad = "a".repeat(http::MAX_HEAD_BYTES);
+        for raw in [
+            format!("GET /health?pad={pad} HTTP/1.1\r\n\r\n"),
+            format!("GET /health HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n"),
+            format!("GET /health HTTP/1.1\r\n{}\r\n", "X: y\r\n".repeat(http::MAX_HEADERS + 1)),
+        ] {
+            let mut stream = TcpStream::connect(handle.addr()).unwrap();
+            // The server may close before reading everything: a failed
+            // write or a reset read is the refusal, as is plain EOF.
+            let _ = stream.write_all(raw.as_bytes());
+            let mut response = Vec::new();
+            let _ = stream.read_to_end(&mut response);
+            assert!(response.is_empty(), "{}", String::from_utf8_lossy(&response));
+            assert_eq!(get(handle.addr(), "/health").0, 200);
+        }
+        assert_eq!(handle.metrics().io_errors.load(Ordering::Relaxed), 3);
         handle.shutdown();
     }
 

@@ -6,9 +6,9 @@
 
 use csrplus_core::{CsrPlusConfig, CsrPlusModel};
 use csrplus_graph::{generators::figure1_graph, TransitionMatrix};
-use csrplus_serve::{render, ServeConfig, Server};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use csrplus_serve::json::{self, Value};
+use csrplus_serve::{http, render, ServeConfig, Server};
+use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -19,25 +19,25 @@ fn model() -> CsrPlusModel {
 
 /// Issues one `GET` and returns `(status, body)`.
 fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let status: u16 = response.split_whitespace().nth(1).unwrap().parse().unwrap();
-    let body = response.split("\r\n\r\n").nth(1).unwrap_or("").to_string();
-    (status, body)
+    http::request(&addr.to_string(), "GET", path, None, Duration::from_secs(30)).unwrap()
 }
 
-/// Pulls the integer value of `"key":N` out of the `/metrics` JSON.
-fn metric(json: &str, key: &str) -> u64 {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle).unwrap_or_else(|| panic!("{key} missing in {json}"));
-    json[at + needle.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap()
+/// The integer at the first field named `key` in the `/metrics` JSON,
+/// in document order.
+fn metric(body: &str, key: &str) -> u64 {
+    fn first<'v>(v: &'v Value, key: &str) -> Option<&'v Value> {
+        match v {
+            Value::Object(fields) => {
+                fields.iter().find_map(|(k, v)| if k == key { Some(v) } else { first(v, key) })
+            }
+            Value::Array(items) => items.iter().find_map(|v| first(v, key)),
+            _ => None,
+        }
+    }
+    let metrics = json::parse(body).unwrap();
+    first(&metrics, key)
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("{key} missing in {body}"))
 }
 
 #[test]

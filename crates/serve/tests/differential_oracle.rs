@@ -14,13 +14,14 @@ use csrplus_graph::partition::{Partitioner, Permutation, Reordering};
 use csrplus_graph::{DiGraph, TransitionMatrix};
 use csrplus_serve::{http, render, ServeConfig, Server};
 use proptest::prelude::*;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
+use std::time::Duration;
 
 /// The body a default server must answer for `path`, rendered from the
 /// model's own answer.
 fn oracle(m: &CsrPlusModel, path: &str) -> String {
-    let target = http::parse_request_line(&format!("GET {path} HTTP/1.1")).unwrap();
+    let (_, target) =
+        http::parse_request_line_methods(&format!("GET {path} HTTP/1.1"), &["GET"]).unwrap();
     let num = |key: &str| target.require(key).unwrap().parse::<usize>().unwrap();
     match target.path.as_str() {
         "/similarity" => {
@@ -44,13 +45,7 @@ fn oracle(m: &CsrPlusModel, path: &str) -> String {
 
 /// Issues one `GET` and returns `(status, body)`.
 fn get(addr: SocketAddr, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let status: u16 = response.split_whitespace().nth(1).unwrap().parse().unwrap();
-    let body = response.split("\r\n\r\n").nth(1).unwrap_or("").to_string();
-    (status, body)
+    http::request(&addr.to_string(), "GET", path, None, Duration::from_secs(30)).unwrap()
 }
 
 /// The model `csrplus precompute --reorder <reorder>` builds for `g`:

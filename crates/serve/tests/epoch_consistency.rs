@@ -23,10 +23,10 @@
 use csrplus_core::dynamic::{DynamicConfig, DynamicCsrPlus};
 use csrplus_core::{CsrPlusConfig, CsrPlusModel};
 use csrplus_graph::{generators::figure1_graph, TransitionMatrix};
-use csrplus_serve::{IngestConfig, ServeConfig, Server};
+use csrplus_serve::json::{self, Value};
+use csrplus_serve::{http, IngestConfig, ServeConfig, Server};
 use proptest::prelude::*;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -44,41 +44,24 @@ fn dynamic() -> DynamicCsrPlus {
 
 /// Issues one `GET` and returns `(status, body)`.
 fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let status: u16 = response.split_whitespace().nth(1).unwrap().parse().unwrap();
-    let body = response.split("\r\n\r\n").nth(1).unwrap_or("").to_string();
-    (status, body)
+    http::request(&addr.to_string(), "GET", path, None, WAIT).unwrap()
 }
 
 /// Issues one `POST` with a body and returns `(status, body)`.
 fn http_post(addr: SocketAddr, path: &str, payload: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(
-        stream,
-        "POST {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
-        payload.len()
-    )
-    .unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let status: u16 = response.split_whitespace().nth(1).unwrap().parse().unwrap();
-    let body = response.split("\r\n\r\n").nth(1).unwrap_or("").to_string();
-    (status, body)
+    http::request(&addr.to_string(), "POST", path, Some(payload), WAIT).unwrap()
 }
 
-/// Extracts the trailing `,"epoch":E}` tag every ingesting-server
-/// response carries.
+/// The client's socket budget: generous, since CI runs these on one core.
+const WAIT: Duration = Duration::from_secs(60);
+
+/// The `"epoch"` tag every ingesting-server response carries.
 fn epoch_of(body: &str) -> u64 {
-    let at = body.rfind(",\"epoch\":").unwrap_or_else(|| panic!("untagged body: {body}"));
-    body[at + ",\"epoch\":".len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap()
+    let body_json = json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    body_json
+        .get("epoch")
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("untagged body: {body}"))
 }
 
 /// The edit script: every op changes the graph (figure 1 has neither

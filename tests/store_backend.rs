@@ -6,7 +6,7 @@
 //! *where* the factors live, never *what* any query returns.
 
 use csrplus_core::persist::{load_model_with, save_model};
-use csrplus_core::{CsrPlusConfig, CsrPlusModel};
+use csrplus_core::{CsrPlusConfig, CsrPlusModel, Precision};
 use csrplus_graph::{generators, TransitionMatrix};
 use csrplus_store::Backend;
 
@@ -32,9 +32,16 @@ fn mapped_and_owned_backends_answer_bitwise_identically() {
         assert!(mapped.is_mapped(), "the mmap backend must map on unix");
     }
 
-    // The factors themselves are bit-identical across representations.
-    assert_eq!(owned.u().as_slice(), mapped.u().as_slice());
-    assert_eq!(owned.z().as_slice(), mapped.z().as_slice());
+    // The factors themselves are bit-identical across representations,
+    // in whichever precision the artifact stores them.
+    for (a, b) in [(owned.u(), mapped.u()), (owned.z(), mapped.z())] {
+        assert_eq!(a.precision(), b.precision());
+        if a.precision() == Precision::F32 {
+            assert_eq!(a.as_f32_slice(), b.as_f32_slice());
+        } else {
+            assert_eq!(a.as_slice(), b.as_slice());
+        }
+    }
 
     // Warm multi-source queries agree bitwise at thread caps 1 and 4 —
     // chunk geometry depends only on shape, so parallelism cannot
