@@ -1,17 +1,13 @@
 //! Storage-format comparison, written to `BENCH_store.json` at the
-//! repository root.  Two questions, sized to the acceptance target
-//! (n = 4096, r = 64, ~16 edges/node):
+//! repository root, sized to the acceptance target (n = 4096, r = 64,
+//! ~16 edges/node).
 //!
-//! 1. **Boot**: time-to-first-query and peak heap for a model opened
-//!    three ways — legacy v1 full deserialisation, v2 eager (owned)
-//!    decode, and v2 memory-mapped (structural validation only, factors
-//!    borrowed off the page cache).  The mmap open must reach its first
-//!    answer ≥ 10× faster than full deserialisation, and warm queries
-//!    must agree **bitwise** with the owned load at thread caps 1 and
-//!    the pool width.
-//! 2. **Graph compression**: delta-gapped adjacency behind Elias-Fano
-//!    offsets versus raw CSR arrays — bytes/edge (target ≤ 0.5×) and the
-//!    decode-on-the-fly slowdown of the spmm kernel.
+//! **Boot**: time-to-first-query and peak heap for a model opened
+//! three ways — legacy v1 full deserialisation, v2 eager (owned) decode,
+//! and v2 memory-mapped (structural validation only, factors borrowed
+//! off the page cache).  The mmap open must reach its first answer ≥ 10×
+//! faster than full deserialisation, and warm queries must agree
+//! **bitwise** with the owned load at thread caps 1 and 4.
 //!
 //! Run with `cargo bench -p csrplus-bench --bench store_formats`.
 
@@ -21,11 +17,8 @@ static ALLOC: csrplus_memtrack::TrackingAllocator = csrplus_memtrack::TrackingAl
 use csrplus_core::persist::{load_model_with, read_model, save_model, write_model_v1};
 use csrplus_core::{CsrPlusConfig, CsrPlusModel};
 use csrplus_graph::generators::erdos_renyi::erdos_renyi;
-use csrplus_graph::{storage, CompressedTransition, TransitionMatrix};
-use csrplus_linalg::DenseMatrix;
+use csrplus_graph::TransitionMatrix;
 use csrplus_store::Backend;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
@@ -119,27 +112,10 @@ fn main() {
     }
     csrplus_par::set_threads(pooled_cap);
 
-    // --- graph compression ----------------------------------------------
-    let compressed = CompressedTransition::from_transition(&transition);
-    let nnz = transition.nnz();
-    let raw_bytes_per_edge = transition.heap_bytes() as f64 / nnz as f64;
-    let compressed_bytes_per_edge = compressed.heap_bytes() as f64 / compressed.nnz() as f64;
-    let bytes_ratio = compressed_bytes_per_edge / raw_bytes_per_edge;
-
-    let mut rng = StdRng::seed_from_u64(0x5704E);
-    let dense = DenseMatrix::random_gaussian(N, RANK, &mut rng);
-    let (spmm_raw, raw_out) = measure(|| storage::spmm(transition.q(), &dense));
-    let (spmm_compressed, compressed_out) = measure(|| storage::spmm(compressed.q(), &dense));
-    assert_eq!(
-        raw_out.as_slice(),
-        compressed_out.as_slice(),
-        "compressed spmm must be bitwise identical"
-    );
-    let spmm_slowdown = spmm_compressed.seconds / spmm_raw.seconds.max(1e-12);
-
     // --- report ----------------------------------------------------------
     let v2_file_bytes = std::fs::metadata(&v2_path).expect("v2 file").len();
     let v1_file_bytes = std::fs::metadata(&v1_path).expect("v1 file").len();
+    let nnz = transition.nnz();
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"n\": {N},");
     let _ = writeln!(json, "  \"rank\": {RANK},");
@@ -170,18 +146,9 @@ fn main() {
     );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"ttfq_speedup_vs_full_deserialise\": {ttfq_speedup:.2},");
-    let _ = writeln!(json, "  \"compressed_csr\": {{");
-    let _ = writeln!(json, "    \"raw_bytes_per_edge\": {raw_bytes_per_edge:.3},");
-    let _ = writeln!(json, "    \"compressed_bytes_per_edge\": {compressed_bytes_per_edge:.3},");
-    let _ = writeln!(json, "    \"bytes_per_edge_ratio\": {bytes_ratio:.4},");
-    let _ = writeln!(json, "    \"spmm_raw_s\": {:.6},", spmm_raw.seconds);
-    let _ = writeln!(json, "    \"spmm_compressed_s\": {:.6},", spmm_compressed.seconds);
-    let _ = writeln!(json, "    \"spmm_slowdown\": {spmm_slowdown:.3}");
-    let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"accept\": {{");
     let _ = writeln!(json, "    \"mmap_bitwise_identical_threads_1_and_4\": true,");
-    let _ = writeln!(json, "    \"ttfq_speedup_ge_10x\": {},", ttfq_speedup >= 10.0);
-    let _ = writeln!(json, "    \"bytes_per_edge_le_half_raw\": {}", bytes_ratio <= 0.5);
+    let _ = writeln!(json, "    \"ttfq_speedup_ge_10x\": {}", ttfq_speedup >= 10.0);
     let _ = writeln!(json, "  }}");
     json.push_str("}\n");
 
@@ -199,10 +166,6 @@ fn main() {
         "boot+query peak: v1 {} B   v2-owned {} B   v2-mmap {} B",
         v1_full.peak_bytes, v2_owned.peak_bytes, v2_mmap.peak_bytes
     );
-    println!(
-        "graph: {:.2} B/edge raw → {:.2} B/edge compressed (ratio {:.3}), spmm slowdown {:.2}x",
-        raw_bytes_per_edge, compressed_bytes_per_edge, bytes_ratio, spmm_slowdown
-    );
     println!("wrote {}", out.display());
 
     std::fs::remove_file(&v1_path).ok();
@@ -211,9 +174,5 @@ fn main() {
     assert!(
         ttfq_speedup >= 10.0,
         "acceptance: mmap open must be ≥10× faster than full deserialisation ({ttfq_speedup:.1}x)"
-    );
-    assert!(
-        bytes_ratio <= 0.5,
-        "acceptance: compressed CSR must be ≤0.5× raw bytes/edge ({bytes_ratio:.3})"
     );
 }

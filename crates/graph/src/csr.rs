@@ -5,17 +5,28 @@
 //! conversion from COO storage to neighbour lists.  All CoSimRank
 //! algorithms reduce to repeated sparse·dense products with `Q` and `Qᵀ`,
 //! so those two kernels are the hot path of the whole workspace.
+//!
+//! Every *dense* inner loop here (the spmm row accumulation, the
+//! transpose-scatter partial reduction) goes through
+//! [`csrplus_linalg::vector`] — `axpy`/`norm2` — so the SIMD dispatch in
+//! `csrplus_linalg::simd` is inherited without any `unsafe` in this
+//! crate.  The loops that stay scalar are the indexed sparse
+//! gather/scatter ones (`acc += v·x[j]`, `y[j] += v·x_i`): their access
+//! pattern is data-dependent, so a fixed-stride vector kernel does not
+//! apply.
 
 use crate::error::GraphError;
-use crate::storage::{self, GraphStorage};
 use csrplus_linalg::{par_row_bands, vector, DenseMatrix, LinearOperator, MatViewMut};
 
 /// Work floor (multiply-adds) per parallel chunk for the sparse kernels.
 /// Chunk sizing depends only on the matrix shape and nnz — never on the
 /// thread count — so sparse products are bitwise reproducible at any
 /// parallelism (each chunk owns a disjoint slice of output rows).
-/// Shared with the storage-generic kernels in [`crate::storage`].
-const MIN_CHUNK_WORK: usize = storage::MIN_CHUNK_WORK;
+const MIN_CHUNK_WORK: usize = 1 << 18;
+
+/// Cap on partial buffers for the transpose-scatter kernels; bounds
+/// scratch at `8 × cols` floats per output column.
+const MAX_PARTIALS: usize = 8;
 
 /// Rows×cols sparse matrix in CSR format (`f64` values, `u32` indices).
 #[derive(Debug, Clone, PartialEq)]
@@ -142,11 +153,30 @@ impl CsrMatrix {
         d
     }
 
+    /// Average non-zeros per row — the shape-only per-row work estimate
+    /// used when sizing parallel chunks.
+    fn mean_row_nnz(&self) -> usize {
+        self.nnz().checked_div(self.rows).unwrap_or(1).max(1)
+    }
+
     /// Sparse · vector: `y = A·x`, output rows distributed over the
-    /// shared [`csrplus_par`] pool (the storage-generic kernel of
-    /// [`crate::storage::matvec`], specialised to CSR slices).
+    /// shared [`csrplus_par`] pool.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        storage::matvec(self, x)
+        assert_eq!(x.len(), self.cols, "matvec: length mismatch");
+        let mut y = vec![0.0; self.rows];
+        let chunk_rows = csrplus_par::chunk_len(self.rows, self.mean_row_nnz(), MIN_CHUNK_WORK);
+        csrplus_par::for_each_chunk_mut(&mut y, chunk_rows, csrplus_par::threads(), |ci, out| {
+            let lo = ci * chunk_rows;
+            for (off, yv) in out.iter_mut().enumerate() {
+                let (idx, val) = self.row(lo + off);
+                let mut acc = 0.0;
+                for (&j, &v) in idx.iter().zip(val.iter()) {
+                    acc += v * x[j as usize];
+                }
+                *yv = acc;
+            }
+        });
+        y
     }
 
     /// Sparseᵀ · vector: `y = Aᵀ·x` (scatter over rows).
@@ -155,9 +185,40 @@ impl CsrMatrix {
     /// version splits the rows into shape-determined chunks, each
     /// scattering into a private partial, reduced serially in chunk
     /// order — the summation order is fixed regardless of thread count.
-    /// See [`crate::storage::matvec_transpose`].
     pub fn matvec_transpose(&self, x: &[f64]) -> Vec<f64> {
-        storage::matvec_transpose(self, x)
+        assert_eq!(x.len(), self.rows, "matvec_transpose: length mismatch");
+        let mut y = vec![0.0; self.cols];
+        if self.rows == 0 || self.cols == 0 {
+            return y;
+        }
+        let scatter = |y: &mut [f64], lo: usize, hi: usize| {
+            for (i, &xi) in x[lo..hi].iter().enumerate() {
+                if xi == 0.0 {
+                    continue;
+                }
+                let (idx, val) = self.row(lo + i);
+                for (&j, &v) in idx.iter().zip(val.iter()) {
+                    y[j as usize] += v * xi;
+                }
+            }
+        };
+        let chunk_rows = csrplus_par::chunk_len(self.rows, self.mean_row_nnz(), MIN_CHUNK_WORK)
+            .max(self.rows.div_ceil(MAX_PARTIALS));
+        let n_chunks = csrplus_par::chunk_count(self.rows, chunk_rows);
+        if n_chunks == 1 {
+            scatter(&mut y, 0, self.rows);
+            return y;
+        }
+        let (rows, cols) = (self.rows, self.cols);
+        let mut partials = vec![0.0f64; n_chunks * cols];
+        csrplus_par::for_each_chunk_mut(&mut partials, cols, csrplus_par::threads(), |ci, part| {
+            let lo = ci * chunk_rows;
+            scatter(part, lo, (lo + chunk_rows).min(rows));
+        });
+        for part in partials.chunks(cols) {
+            vector::axpy(1.0, part, &mut y);
+        }
+        y
     }
 
     /// Sparse · dense block: `Y = A·X` (`X: cols×k`), output row chunks
@@ -183,7 +244,72 @@ impl CsrMatrix {
     /// # Panics
     /// Panics on shape mismatch or a destination with `col_stride ≠ 1`.
     pub fn matmul_dense_into(&self, x: &DenseMatrix, y: MatViewMut<'_>, threads: usize) {
-        storage::spmm_into(self, x, y, threads);
+        assert_eq!(x.rows(), self.cols, "matmul_dense_into: shape mismatch");
+        assert_eq!(y.shape(), (self.rows, x.cols()), "matmul_dense_into: destination shape");
+        let k = x.cols();
+        if self.rows == 0 || k == 0 {
+            return;
+        }
+        let chunk_rows = csrplus_par::chunk_len(self.rows, self.mean_row_nnz() * k, MIN_CHUNK_WORK);
+        par_row_bands(y, chunk_rows, threads, |lo, mut band| {
+            for off in 0..band.rows() {
+                let orow = band.row_slice_mut(off).expect("par_row_bands is row-contiguous");
+                orow.fill(0.0);
+                let (idx, val) = self.row(lo + off);
+                for (&j, &v) in idx.iter().zip(val.iter()) {
+                    vector::axpy(v, x.row(j as usize), orow);
+                }
+            }
+        });
+    }
+
+    /// Sparseᵀ · dense block `Y = Aᵀ·X` (`X: rows×k`) into `y`, the block
+    /// generalisation of [`Self::matvec_transpose`]: input rows are
+    /// scattered into per-chunk partial blocks on the shared pool and
+    /// reduced serially in chunk order, so the summation order (and hence
+    /// every output bit) is independent of `threads`.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
+    fn transpose_matmul_dense_into(&self, x: &DenseMatrix, y: &mut DenseMatrix, threads: usize) {
+        assert_eq!(x.rows(), self.rows, "transpose_matmul_dense_into: shape mismatch");
+        assert_eq!(
+            y.shape(),
+            (self.cols, x.cols()),
+            "transpose_matmul_dense_into: destination shape"
+        );
+        let k = x.cols();
+        y.as_mut_slice().fill(0.0);
+        if self.rows == 0 || self.cols == 0 || k == 0 {
+            return;
+        }
+        let scatter = |y: &mut [f64], lo: usize, hi: usize| {
+            for i in lo..hi {
+                let xrow = x.row(i);
+                let (idx, val) = self.row(i);
+                for (&j, &v) in idx.iter().zip(val.iter()) {
+                    let j = j as usize;
+                    vector::axpy(v, xrow, &mut y[j * k..(j + 1) * k]);
+                }
+            }
+        };
+        let chunk_rows = csrplus_par::chunk_len(self.rows, self.mean_row_nnz() * k, MIN_CHUNK_WORK)
+            .max(self.rows.div_ceil(MAX_PARTIALS));
+        let n_chunks = csrplus_par::chunk_count(self.rows, chunk_rows);
+        if n_chunks == 1 {
+            scatter(y.as_mut_slice(), 0, self.rows);
+            return;
+        }
+        let rows = self.rows;
+        let block = self.cols * k;
+        let mut partials = vec![0.0f64; n_chunks * block];
+        csrplus_par::for_each_chunk_mut(&mut partials, block, threads, |ci, part| {
+            let lo = ci * chunk_rows;
+            scatter(part, lo, (lo + chunk_rows).min(rows));
+        });
+        for part in partials.chunks(block) {
+            vector::axpy(1.0, part, y.as_mut_slice());
+        }
     }
 
     /// Dense · sparse product `Y = X·A` (`X: k×rows`), the row-major way
@@ -252,36 +378,6 @@ impl CsrMatrix {
     }
 }
 
-impl GraphStorage for CsrMatrix {
-    #[inline]
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
-    #[inline]
-    fn cols(&self) -> usize {
-        self.cols
-    }
-
-    #[inline]
-    fn nnz(&self) -> usize {
-        self.indices.len()
-    }
-
-    #[inline]
-    fn row_nnz(&self, i: usize) -> usize {
-        self.indptr[i + 1] - self.indptr[i]
-    }
-
-    #[inline]
-    fn for_each_in_row<F: FnMut(u32, f64)>(&self, i: usize, mut f: F) {
-        let (idx, val) = self.row(i);
-        for (&j, &v) in idx.iter().zip(val.iter()) {
-            f(j, v);
-        }
-    }
-}
-
 impl LinearOperator for CsrMatrix {
     fn nrows(&self) -> usize {
         self.rows
@@ -297,9 +393,11 @@ impl LinearOperator for CsrMatrix {
 
     fn apply_transpose(&self, x: &DenseMatrix) -> DenseMatrix {
         // Gather via the explicit transpose would cost a rebuild per
-        // call; the shared transpose-scatter kernel parallelises over row
-        // chunks with chunk-ordered partial reduction instead.
-        crate::storage::spmm_transpose(self, x)
+        // call; the transpose-scatter kernel parallelises over row chunks
+        // with chunk-ordered partial reduction instead.
+        let mut y = DenseMatrix::zeros(self.cols, x.cols());
+        self.transpose_matmul_dense_into(x, &mut y, csrplus_par::threads());
+        y
     }
 }
 
@@ -508,6 +606,44 @@ mod tests {
         for threads in [2usize, 3, 4, 7, 9] {
             let y = a.matmul_dense_with_threads(&x, threads);
             assert!(y.approx_eq(&serial, 1e-14), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn spmm_transpose_matches_dense_reference() {
+        let a = random_sparse(60, 45, 500, 21);
+        let mut rng = StdRng::seed_from_u64(22);
+        let x = DenseMatrix::random_gaussian(60, 5, &mut rng);
+        let fast = a.apply_transpose(&x);
+        let slow = a.to_dense().transpose().matmul(&x).unwrap();
+        assert!(fast.approx_eq(&slow, 1e-12));
+    }
+
+    #[test]
+    fn spmm_transpose_bitwise_identical_at_caps_1_and_4() {
+        let a = random_sparse(1500, 1100, 60_000, 23);
+        let mut rng = StdRng::seed_from_u64(24);
+        let x = DenseMatrix::random_gaussian(1500, 6, &mut rng);
+        let mut serial = DenseMatrix::zeros(1100, 6);
+        a.transpose_matmul_dense_into(&x, &mut serial, 1);
+        for threads in [1usize, 4] {
+            let mut y = DenseMatrix::zeros(1100, 6);
+            a.transpose_matmul_dense_into(&x, &mut y, threads);
+            assert_eq!(y.as_slice(), serial.as_slice(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn spmm_bitwise_identical_across_thread_caps() {
+        let a = random_sparse(1200, 1200, 40_000, 13);
+        let mut rng = StdRng::seed_from_u64(14);
+        let x = DenseMatrix::random_gaussian(1200, 8, &mut rng);
+        let mut serial = DenseMatrix::zeros(1200, 8);
+        a.matmul_dense_into(&x, serial.view_mut(), 1);
+        for threads in [2usize, 4, 8] {
+            let mut y = DenseMatrix::zeros(1200, 8);
+            a.matmul_dense_into(&x, y.view_mut(), threads);
+            assert_eq!(y.as_slice(), serial.as_slice(), "threads={threads}");
         }
     }
 

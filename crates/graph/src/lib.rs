@@ -15,13 +15,6 @@
 //! * [`TransitionMatrix`] — `Q` together with its transpose, implementing
 //!   [`csrplus_linalg::LinearOperator`] so it can be fed straight into the
 //!   truncated SVD;
-//! * [`storage`] — the [`GraphStorage`] trait plus spmm/matvec kernels
-//!   generic over it, so every backend runs identical deterministic
-//!   chunking and accumulation order;
-//! * [`compressed`] — a gap-compressed backend ([`CompressedCsr`],
-//!   [`CompressedTransition`]): LEB128 delta-gapped adjacency with
-//!   Elias–Fano row offsets and bitwise-detected value models, for graphs
-//!   whose raw CSR does not fit in RAM;
 //! * [`io`] — the SNAP plain-text edge-list format (comments, arbitrary
 //!   node ids, relabeling) so the real datasets drop in unchanged;
 //! * [`generators`] — deterministic random-graph models used to synthesise
@@ -32,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod components;
-pub mod compressed;
 pub mod csr;
 pub mod degree;
 pub mod digraph;
@@ -41,13 +33,10 @@ pub mod generators;
 pub mod io;
 pub mod partition;
 pub mod sample;
-pub mod storage;
 pub mod transition;
 
-pub use compressed::{CompressedCsr, CompressedTransition};
 pub use csr::CsrMatrix;
 pub use digraph::DiGraph;
 pub use error::GraphError;
 pub use partition::{shard_ranges, Partitioner, Permutation, Reordering};
-pub use storage::GraphStorage;
-pub use transition::{TransitionMatrix, TransitionOps};
+pub use transition::TransitionMatrix;

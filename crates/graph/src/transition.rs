@@ -14,24 +14,6 @@ use crate::digraph::DiGraph;
 use crate::error::GraphError;
 use csrplus_linalg::{DenseMatrix, LinearOperator};
 
-/// The propagation surface the exact CoSimRank algorithms consume:
-/// `n`, `y = Q·x`, and `y = Qᵀ·x`.
-///
-/// Abstracting the two matvecs (rather than the matrix representation)
-/// lets the iterative algorithms of `csrplus-core::exact` run unchanged
-/// over the in-memory [`TransitionMatrix`] and the gap-compressed
-/// [`crate::compressed::CompressedTransition`].
-pub trait TransitionOps: Sync {
-    /// Number of nodes `n` (the operator is `n × n`).
-    fn n(&self) -> usize;
-
-    /// `y = Q·x` — one step of PPR propagation towards in-neighbours.
-    fn propagate(&self, x: &[f64]) -> Vec<f64>;
-
-    /// `y = Qᵀ·x`.
-    fn propagate_transpose(&self, x: &[f64]) -> Vec<f64>;
-}
-
 /// Column-normalised adjacency matrix with a cached transpose.
 #[derive(Debug, Clone)]
 pub struct TransitionMatrix {
@@ -134,20 +116,6 @@ impl TransitionMatrix {
     /// Estimated heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
         self.q.heap_bytes() + self.qt.heap_bytes()
-    }
-}
-
-impl TransitionOps for TransitionMatrix {
-    fn n(&self) -> usize {
-        self.q.rows()
-    }
-
-    fn propagate(&self, x: &[f64]) -> Vec<f64> {
-        TransitionMatrix::propagate(self, x)
-    }
-
-    fn propagate_transpose(&self, x: &[f64]) -> Vec<f64> {
-        TransitionMatrix::propagate_transpose(self, x)
     }
 }
 

@@ -34,6 +34,17 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Most score cells (`|Q| × n`) one `/query` or `/shard/columns`
+/// request may ask for.  The head cap bounds the node list's bytes, not
+/// the body it expands to: without this bound ~32k ids over a 70k-node
+/// model render tens of GB.  At the limit one request holds 32 MiB of
+/// `f64` columns and renders about 97 MB of JSON (a `/query` score
+/// takes about 23 bytes, a hex `/shard/columns` one 16), and each
+/// worker serves one request at a time, so a server's worst case is
+/// `workers` times that.  Multi-source batches stay 7× inside it
+/// (`8 × 70,930` is 567k cells).
+const MAX_QUERY_CELLS: usize = 1 << 22;
+
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -485,13 +496,26 @@ fn answer(
     let parse_usize = |v: &str, key: &str| -> Result<usize, (u16, String)> {
         v.parse().map_err(|_| (400, format!("invalid {key}: {v:?}")))
     };
+    // Bounded before any column is evaluated or any shard contacted,
+    // so local, coordinator and shard roles share the one check.
     let parse_nodes = |target: &Target| -> Result<Vec<usize>, (u16, String)> {
-        target
+        let nodes: Vec<usize> = target
             .require("nodes")?
             .split(',')
             .map(|v| v.parse::<usize>())
             .collect::<Result<_, _>>()
-            .map_err(|_| (400, "invalid node list".to_string()))
+            .map_err(|_| (400, "invalid node list".to_string()))?;
+        if nodes.len().saturating_mul(model.n()) > MAX_QUERY_CELLS {
+            return Err((
+                400,
+                format!(
+                    "{} nodes over {} rows exceeds the limit of {MAX_QUERY_CELLS} score cells",
+                    nodes.len(),
+                    model.n()
+                ),
+            ));
+        }
+        Ok(nodes)
     };
     // The column wait shares the request budget with socket I/O.  In
     // shard mode this hands back the server's partial (lo..hi) column.
@@ -1163,6 +1187,24 @@ mod tests {
             assert_eq!(get(handle.addr(), "/health").0, 200);
         }
         assert_eq!(handle.metrics().io_errors.load(Ordering::Relaxed), 3);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn oversized_node_lists_are_refused_before_evaluation() {
+        let g = csrplus_graph::generators::erdos_renyi::erdos_renyi(1_000, 4_000, 7).unwrap();
+        let t = TransitionMatrix::from_graph(&g);
+        let m = CsrPlusModel::precompute(&t, &CsrPlusConfig::with_rank(4)).unwrap();
+        let handle = Server::start(m, 0, ServeConfig::default()).unwrap();
+        // 20,000 repeated ids fit under the head cap but ask for 2·10⁷
+        // score cells, past `MAX_QUERY_CELLS`.
+        let nodes = vec!["0"; 20_000].join(",");
+        for route in ["/query", "/shard/columns"] {
+            let (code, body) = get(handle.addr(), &format!("{route}?nodes={nodes}"));
+            assert_eq!(code, 400, "{route}");
+            assert!(body.contains(&MAX_QUERY_CELLS.to_string()), "{route}: {body}");
+        }
+        assert_eq!(get(handle.addr(), "/health").0, 200);
         handle.shutdown();
     }
 

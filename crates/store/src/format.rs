@@ -91,7 +91,7 @@ pub enum DType {
     U64,
     /// Little-endian unsigned 32-bit integers.
     U32,
-    /// Opaque bytes (nested blobs, e.g. a compressed graph).
+    /// Opaque bytes (nested blobs).
     Bytes,
     /// Little-endian IEEE-754 singles (the f32-storage precision mode).
     F32,
