@@ -161,13 +161,20 @@ fn main() {
     // selectivity below reports how much of the graph qualifies.
     // Candidates are scanned in descending factor-mass order (the same
     // quantity the bound uses), distinct ids so nothing is cached.
-    let (_, z_split) = model.derived_tables();
+    // Each internal row's leading `Z` coordinate and the norm of the rest:
+    // the per-row ingredients of the coordinator's shard bounds.
+    let z_rows: Vec<(f64, f64)> = (0..N)
+        .map(|x| {
+            let row = model.z().row_ref(x);
+            (row.first(), row.tail_norm2())
+        })
+        .collect();
     let finest = shard_ranges(N, *SHARD_COUNTS.iter().max().expect("non-empty"));
     let c = model.config().damping;
     let mut by_mass: Vec<usize> = (0..N).collect();
     by_mass.sort_by(|&a, &b| {
         let norm = |v: usize| {
-            let (z0, zr) = z_split[model.internal_row(v)];
+            let (z0, zr) = z_rows[model.internal_row(v)];
             z0.hypot(zr)
         };
         norm(b).partial_cmp(&norm(a)).unwrap().then(a.cmp(&b))
@@ -187,7 +194,7 @@ fn main() {
             .map(|&(lo, hi)| {
                 let (mut z0_min, mut z0_max, mut zrest_max) =
                     (f64::INFINITY, f64::NEG_INFINITY, 0.0f64);
-                for &(z0, zrest) in &z_split[lo..hi] {
+                for &(z0, zrest) in &z_rows[lo..hi] {
                     z0_min = z0_min.min(z0);
                     z0_max = z0_max.max(z0);
                     zrest_max = zrest_max.max(zrest);
@@ -199,7 +206,7 @@ fn main() {
         let home = (0..finest.len())
             .max_by(|&a, &b| bounds[a].partial_cmp(&bounds[b]).unwrap())
             .expect("non-empty");
-        let top = model.top_k_pruned(q, K).expect("in-bounds query");
+        let top = model.top_k(q, K).expect("in-bounds query");
         if top.len() < K {
             continue;
         }

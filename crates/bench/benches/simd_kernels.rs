@@ -108,7 +108,7 @@ fn main() {
         });
     };
 
-    // --- dot product, L2-resident (the pruned-scan inner loop shape).
+    // --- dot product, L2-resident (the single-pair similarity inner loop shape).
     {
         let x = DenseMatrix::random_gaussian(1, 65_536, &mut rng);
         let y = DenseMatrix::random_gaussian(1, 65_536, &mut rng);

@@ -18,7 +18,6 @@
 //!   ablation-squaring   repeated squaring vs linear subspace iteration
 //!   ablation-stages     NI → CSR+ optimisation stages (Thm 3.1–3.5)
 //!   ablation-backend    randomized vs Lanczos truncated SVD
-//!   ablation-pruning    top-k norm-pruning effectiveness
 //!   extras     extension baselines (CoSimMate, RP-CoSim) vs CSR+
 //!   all        everything above
 //! ```
@@ -90,7 +89,6 @@ fn main() {
             "ablation-squaring",
             "ablation-stages",
             "ablation-backend",
-            "ablation-pruning",
             "extras",
         ]
         .iter()
@@ -121,7 +119,6 @@ fn main() {
             "ablation-squaring" => ablation_squaring(&opts),
             "ablation-stages" => ablation_stages(&opts),
             "ablation-backend" => ablation_backend(&opts),
-            "ablation-pruning" => ablation_pruning(&opts),
             "extras" => extras(&opts),
             other => {
                 eprintln!("unknown experiment {other}");
@@ -551,37 +548,6 @@ fn ablation_backend(opts: &Options) {
         }
     }
     let path = opts.out_dir.join("ablation_backend.csv");
-    std::fs::create_dir_all(&opts.out_dir).ok();
-    if std::fs::write(&path, lines.join("\n")).is_ok() {
-        println!("→ wrote {}", path.display());
-    }
-}
-
-/// Ablation: Cauchy–Schwarz pruning effectiveness of `top_k_pruned` —
-/// the fraction of candidates whose exact score is computed, per dataset.
-fn ablation_pruning(opts: &Options) {
-    println!("== Ablation: top-k norm pruning (r=10, k=10, 50 queries) ==");
-    let mut lines = vec!["dataset,n,avg_scanned,scan_fraction".to_string()];
-    for id in DatasetId::all() {
-        let w = workload(id, opts.scale);
-        let cfg = CsrPlusConfig { rank: 10.min(w.n()), ..Default::default() };
-        let model = CsrPlusModel::precompute(&w.transition, &cfg).expect("precompute");
-        let queries = w.queries(50, QUERY_SEED);
-        let mut total = 0usize;
-        for &q in &queries {
-            total += model.top_k_scan(q, 10, None).expect("top-k").scanned;
-        }
-        let avg = total as f64 / queries.len() as f64;
-        let frac = avg / w.n() as f64;
-        println!(
-            "  {:<4} n={:<9} avg candidates scored: {avg:>10.0} ({:.1}% of n)",
-            id.name(),
-            w.n(),
-            100.0 * frac
-        );
-        lines.push(format!("{},{},{avg},{frac}", id.name(), w.n()));
-    }
-    let path = opts.out_dir.join("ablation_pruning.csv");
     std::fs::create_dir_all(&opts.out_dir).ok();
     if std::fs::write(&path, lines.join("\n")).is_ok() {
         println!("→ wrote {}", path.display());

@@ -82,7 +82,7 @@ pub enum Command {
         top: Option<usize>,
     },
     /// Top-k most similar nodes to a single node.
-    TopK {
+    Topk {
         /// Model path.
         model: PathBuf,
         /// The query node.
@@ -391,7 +391,7 @@ fn parse_query(rest: &[&String]) -> Result<Command, String> {
 }
 
 fn parse_topk(rest: &[&String]) -> Result<Command, String> {
-    Ok(Command::TopK {
+    Ok(Command::Topk {
         model: positional(rest, 0)?,
         node: parse_num(require(rest, "--node")?, "node")?,
         k: num_flag(rest, "--k", 10)?,
@@ -560,7 +560,7 @@ mod tests {
     #[test]
     fn parse_topk_defaults_k() {
         let cmd = parse(&argv("topk m.csrp --node 4")).unwrap();
-        assert!(matches!(cmd, Command::TopK { node: 4, k: 10, .. }));
+        assert!(matches!(cmd, Command::Topk { node: 4, k: 10, .. }));
     }
 
     #[test]

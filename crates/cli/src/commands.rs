@@ -1,6 +1,7 @@
 //! Command implementations.
 
 use crate::args::Command;
+use csrplus_core::topk::select_top_k;
 use csrplus_core::{exact, persist, CsrPlusConfig, CsrPlusModel};
 use csrplus_graph::io::{read_snap_file, write_snap_file};
 use csrplus_graph::partition::{Partitioner, Reordering};
@@ -88,11 +89,9 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
             match top {
                 Some(k) => {
                     for (j, &q) in nodes.iter().enumerate() {
-                        let mut col: Vec<(usize, f64)> =
-                            (0..m.n()).map(|i| (i, s.get(i, j))).collect();
-                        col.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite scores"));
+                        let top = select_top_k((0..m.n()).map(|i| (i, s.get(i, j))), k);
                         let rendered: Vec<String> =
-                            col.iter().take(k).map(|(i, v)| format!("{i}:{v:.4}")).collect();
+                            top.iter().map(|(i, v)| format!("{i}:{v:.4}")).collect();
                         println!("query {q}: {}", rendered.join(" "));
                     }
                 }
@@ -115,7 +114,7 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
             eprintln!("({} nodes × {} queries in {dt:.1?})", m.n(), nodes.len());
             Ok(())
         }
-        Command::TopK { model, node, k } => {
+        Command::Topk { model, node, k } => {
             let m = persist::load_model(&model)?;
             let top = m.top_k(node, k)?;
             for (rank, (i, v)) in top.iter().enumerate() {

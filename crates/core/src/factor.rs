@@ -98,30 +98,6 @@ pub enum RowRef<'a> {
 }
 
 impl<'a> RowRef<'a> {
-    /// Number of elements.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            RowRef::F64(s) => s.len(),
-            RowRef::F32(s) => s.len(),
-        }
-    }
-
-    /// True when the row has no elements.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Element `j`, widened.
-    #[inline]
-    pub fn get(&self, j: usize) -> f64 {
-        match self {
-            RowRef::F64(s) => s[j],
-            RowRef::F32(s) => s[j] as f64,
-        }
-    }
-
     /// First element widened, or 0 for an empty row.
     #[inline]
     pub fn first(&self) -> f64 {

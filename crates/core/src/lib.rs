@@ -21,6 +21,7 @@
 //! * [`exact`] — ground-truth CoSimRank (per-query recursion, dense
 //!   all-pairs iteration, and a Kronecker linear solve for tiny graphs);
 //! * [`metrics`] — the paper's `AvgDiff` accuracy measure;
+//! * [`topk`] — the one top-`k` selection every ranked answer goes through;
 //! * [`engine`] — the object-safe trait every algorithm (CSR+ and the
 //!   baselines in `csrplus-baselines`) implements for the bench harness.
 
@@ -37,6 +38,7 @@ pub mod metrics;
 pub mod model;
 pub mod persist;
 pub mod precision;
+pub mod topk;
 
 pub use config::{CsrPlusConfig, SvdBackend};
 // Re-exported because it appears throughout the public API (query blocks,
@@ -45,5 +47,5 @@ pub use csrplus_linalg::DenseMatrix;
 pub use engine::{CoSimRankEngine, EngineOutcome};
 pub use error::CoSimRankError;
 pub use factor::{DenseMatrixF32, Factor, FactorView, RowRef};
-pub use model::{CsrPlusModel, ModelPermutation, Query, TopK};
+pub use model::{CsrPlusModel, ModelPermutation, Query};
 pub use precision::{set_storage_precision, storage_precision, Precision};

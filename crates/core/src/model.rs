@@ -5,6 +5,7 @@ use crate::config::CsrPlusConfig;
 use crate::error::CoSimRankError;
 use crate::factor::{DenseMatrixF32, Factor, FactorView};
 use crate::precision::Precision;
+use crate::topk::top_k_from_column;
 use csrplus_graph::partition::Reordering;
 use csrplus_graph::TransitionMatrix;
 use csrplus_linalg::randomized::randomized_svd;
@@ -16,9 +17,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Work floor per parallel chunk for the cheap per-node online sweeps
-/// (bound maps, norm tables, column gathers).  Chunk boundaries depend
-/// only on `n` and the per-node work, never on the thread count, so the
-/// online layer stays bitwise reproducible at any parallelism.
+/// (norm tables, column gathers).  Chunk boundaries depend only on `n`
+/// and the per-node work, never on the thread count, so the online layer
+/// stays bitwise reproducible at any parallelism.
 const MIN_ONLINE_WORK: usize = 1 << 16;
 
 /// Wall-clock breakdown of one precomputation (Algorithm 1 lines 1–6).
@@ -105,17 +106,6 @@ impl<'a> Query<'a> {
     }
 }
 
-/// The answer of [`CsrPlusModel::top_k_scan`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopK {
-    /// The best `(original id, score)` pairs, by descending score with
-    /// ascending original id as the tie-break.
-    pub hits: Vec<(usize, f64)>,
-    /// Candidates whose exact score was computed — the
-    /// pruning-effectiveness metric the ablation benches report.
-    pub scanned: usize,
-}
-
 /// The memoised state of Algorithm 1 after precomputation.
 ///
 /// Holds only `O(rn)` data: the left singular block `U` (`n×r`) and
@@ -138,14 +128,6 @@ pub struct CsrPlusModel {
     p: DenseMatrix,
     /// `H₀ = VᵀUΣ` (diagnostic / ablation access).
     h0: DenseMatrix,
-    /// Row norms of `Z`, sorted descending (node id attached) — powers
-    /// the Cauchy–Schwarz pruning of [`CsrPlusModel::similarity_join`].
-    z_norms_desc: Vec<(f64, u32)>,
-    /// Per-node split of `Z`'s rows for the tightened retrieval bound:
-    /// `(Z[x,0], ‖Z[x,1..]‖)`.  The first (dominant-σ) coordinate enters
-    /// the bound as an exact signed term; Cauchy–Schwarz only covers the
-    /// remainder — see [`CsrPlusModel::top_k_pruned`].
-    z_split: Vec<(f64, f64)>,
     /// `Some` when the factor rows are a reordering of the original node
     /// ids; `None` is the identity fast path (byte-for-byte the
     /// historical behaviour).
@@ -248,9 +230,7 @@ impl CsrPlusModel {
         sps.scale_columns_mut(&sigma);
         let z = u.matmul(&sps)?;
         // Storage demotion happens here, *after* the full-precision
-        // computation and *before* the derived pruning tables — the
-        // tables must describe the factors as stored, or the retrieval
-        // bounds would not be sound against the widened f32 values.
+        // computation.
         let (u, z) = match crate::precision::storage_precision() {
             Precision::F64 => (Factor::from(u), Factor::from(z)),
             Precision::F32 => (
@@ -258,8 +238,6 @@ impl CsrPlusModel {
                 Factor::from(DenseMatrixF32::from_f64(&z)),
             ),
         };
-        let z_norms_desc = sorted_row_norms(&z);
-        let z_split = split_row_bounds(&z);
         let memoise = t2.elapsed();
 
         let stats = PrecomputeStats {
@@ -268,21 +246,7 @@ impl CsrPlusModel {
             memoise,
             squaring_iterations: iterations,
         };
-        Ok((
-            CsrPlusModel {
-                config: *config,
-                n,
-                u,
-                z,
-                sigma,
-                p,
-                h0,
-                z_norms_desc,
-                z_split,
-                perm: None,
-            },
-            stats,
-        ))
+        Ok((CsrPlusModel { config: *config, n, u, z, sigma, p, h0, perm: None }, stats))
     }
 
     /// Reassembles a model from previously memoised parts (used by
@@ -303,9 +267,9 @@ impl CsrPlusModel {
     }
 
     /// [`CsrPlusModel::from_parts`] over [`Factor`] storage (owned or
-    /// mapped), recomputing the derived pruning tables — which touches
-    /// every row of `Z`, so artifact loads prefer
-    /// [`CsrPlusModel::from_factors_with_tables`].
+    /// mapped).  Nothing here reads a row of `U` or `Z`, so a mapped model
+    /// (the artifact load path) materialises no factor pages until the
+    /// first query.
     ///
     /// # Errors
     /// [`CoSimRankError::InvalidConfig`] when the shapes are inconsistent.
@@ -318,32 +282,6 @@ impl CsrPlusModel {
         p: DenseMatrix,
         h0: DenseMatrix,
     ) -> Result<Self, CoSimRankError> {
-        let z_norms_desc = sorted_row_norms(&z);
-        let z_split = split_row_bounds(&z);
-        Self::from_factors_with_tables(config, n, u, z, sigma, p, h0, z_norms_desc, z_split)
-    }
-
-    /// Reassembles a model from memoised factors *and* the derived
-    /// pruning tables (`Z` row norms, split bounds).  This is the
-    /// instant-boot entry point: with the tables supplied from the
-    /// artifact, nothing here reads a single row of `U` or `Z`, so a
-    /// mapped model materialises no factor pages until the first query.
-    ///
-    /// # Errors
-    /// [`CoSimRankError::InvalidConfig`] when shapes or table lengths are
-    /// inconsistent.
-    #[allow(clippy::too_many_arguments)] // deliberate: the full memoised state
-    pub fn from_factors_with_tables(
-        config: CsrPlusConfig,
-        n: usize,
-        u: Factor,
-        z: Factor,
-        sigma: Vec<f64>,
-        p: DenseMatrix,
-        h0: DenseMatrix,
-        z_norms_desc: Vec<(f64, u32)>,
-        z_split: Vec<(f64, f64)>,
-    ) -> Result<Self, CoSimRankError> {
         let r = sigma.len();
         let bad = |what: &str| CoSimRankError::InvalidConfig {
             message: format!("from_parts: inconsistent {what}"),
@@ -354,11 +292,8 @@ impl CsrPlusModel {
         if p.shape() != (r, r) || h0.shape() != (r, r) {
             return Err(bad("P/H₀ shapes"));
         }
-        if z_norms_desc.len() != n || z_split.len() != n {
-            return Err(bad("derived table lengths"));
-        }
         config.validate(n.max(1))?;
-        Ok(CsrPlusModel { config, n, u, z, sigma, p, h0, z_norms_desc, z_split, perm: None })
+        Ok(CsrPlusModel { config, n, u, z, sigma, p, h0, perm: None })
     }
 
     /// Attaches the node permutation under which this model's factors
@@ -420,14 +355,6 @@ impl CsrPlusModel {
             Some(p) => p.order[row] as usize,
             None => row,
         }
-    }
-
-    /// The derived pruning tables `(Z row norms desc, Z split bounds)` —
-    /// persisted alongside the factors so loads skip their `O(n·r)`
-    /// recomputation.
-    #[allow(clippy::type_complexity)]
-    pub fn derived_tables(&self) -> (&[(f64, u32)], &[(f64, f64)]) {
-        (&self.z_norms_desc, &self.z_split)
     }
 
     /// True when any factor borrows mapped (page-cache) storage.
@@ -733,143 +660,15 @@ impl CsrPlusModel {
         self.multi_source(&queries)
     }
 
-    /// Top-`k` most similar nodes to `q` (excluding `q` itself), sorted by
-    /// descending similarity with node id as tie-break.
-    pub fn top_k(&self, q: usize, k: usize) -> Result<Vec<(usize, f64)>, CoSimRankError> {
-        let col = self.single_source(q)?;
-        let mut scored: Vec<(usize, f64)> =
-            col.into_iter().enumerate().filter(|&(i, _)| i != q).collect();
-        scored.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-        });
-        scored.truncate(k);
-        Ok(scored)
-    }
-
-    /// Top-`k` retrieval with split Cauchy–Schwarz pruning.
-    ///
-    /// The naive bound `c·‖Z[x,:]‖·‖U[q,:]‖` is too loose on low-rank
-    /// models: every row is dominated by the leading-σ coordinate, so the
-    /// bound barely discriminates between candidates.  Instead the first
-    /// coordinate enters *exactly* (it is signed — for most pairs it
-    /// cancels against the remainder) and Cauchy–Schwarz covers only the
-    /// tail:
-    ///
-    /// ```text
-    /// score(x) = c·⟨Z[x,:], U[q,:]⟩
-    ///          ≤ c·(Z[x,0]·U[q,0] + ‖Z[x,1..]‖·‖U[q,1..]‖) =: bound(x)
-    /// ```
-    ///
-    /// Candidates are visited in descending `bound(x)` order and the scan
-    /// stops as soon as `bound` cannot beat the current k-th best score —
-    /// typically touching a small fraction of the nodes on skewed
-    /// (real-world) score distributions.  Returns exactly what
-    /// [`CsrPlusModel::top_k`] returns: score ties break by ascending
-    /// *original* node id, so reordered and identity models agree on the
-    /// result set.
-    pub fn top_k_pruned(&self, q: usize, k: usize) -> Result<Vec<(usize, f64)>, CoSimRankError> {
-        Ok(self.top_k_scan(q, k, None)?.hits)
-    }
-
-    /// The pruned scan behind [`CsrPlusModel::top_k_pruned`], restricted
-    /// to candidates in the internal row range `rows` (`None`: all of
-    /// them) — what one shard contributes to a scatter-gather query.
-    /// Returned ids are original node ids; [`TopK::scanned`] counts the
-    /// candidates whose exact score was computed.
+    /// Top-`k` most similar nodes to `q` (excluding `q` itself), by
+    /// descending similarity with node id as the tie-break: the column
+    /// `[S]_{*,q}` through [`crate::topk::select_top_k`], the selection
+    /// every served top-k answer uses.
     ///
     /// # Errors
-    /// [`CoSimRankError::QueryOutOfBounds`] on an invalid query node,
-    /// [`CoSimRankError::InvalidConfig`] on an invalid row range.
-    pub fn top_k_scan(
-        &self,
-        q: usize,
-        k: usize,
-        rows: Option<Range<usize>>,
-    ) -> Result<TopK, CoSimRankError> {
-        let source = [q];
-        let (internal, rows) = self.plan(&Query { sources: &source, rows, rank: None })?;
-        let (lo, hi) = (rows.start, rows.end);
-        if k == 0 || lo == hi {
-            return Ok(TopK { hits: Vec::new(), scanned: 0 });
-        }
-        let c = self.config.damping;
-        let q_internal = internal[0];
-        let uq = self.u.row_ref(q_internal);
-        let uq0 = uq.first();
-        let uq_rest = uq.tail_norm2();
-        // Per-query candidate order: descending split bound, in cheap
-        // O(1)-per-node bounds, traded for skipping O(r) exact dot
-        // products on everything past the break point.  The bound map
-        // fill is embarrassingly parallel (one slot per node), so it runs
-        // on the shared pool; the early-break scan below stays sequential
-        // by construction.
-        //
-        // Each bound carries a rounding slack `γ·c·(|z0·uq0| + zrest·uq_rest)`,
-        // `γ = (r + 2)·2⁻⁵²`, covering the error of the computed dot
-        // product and of the bound itself, so the early break never skips
-        // a candidate whose *computed* score would enter the top `k`.
-        let rows = hi - lo;
-        let gamma = (uq.len() as f64 + 2.0) * f64::EPSILON;
-        let mut order: Vec<(f64, u32)> = vec![(0.0, 0); rows];
-        let chunk = csrplus_par::chunk_len(rows, 4, MIN_ONLINE_WORK);
-        let z_split = &self.z_split;
-        csrplus_par::for_each_chunk_mut(&mut order, chunk, csrplus_par::threads(), |ci, out| {
-            let base = lo + ci * chunk;
-            for (off, slot) in out.iter_mut().enumerate() {
-                let x = base + off;
-                let (z0, zrest) = z_split[x];
-                let (lead, tail) = (z0 * uq0, zrest * uq_rest);
-                *slot = (c * (lead + tail + gamma * (lead.abs() + tail)), x as u32);
-            }
-        });
-        // The scan usually breaks early, so the order is only ever built
-        // as far as it gets: each step selects the next-best block out of
-        // the rest (O(rest)), sorts just that block, and quadruples the
-        // block size for the next step.  `k` is caller-controlled, hence
-        // the saturating arithmetic and a result buffer sized by the
-        // candidates that exist rather than by `k`.
-        let descending = |a: &(f64, u32), b: &(f64, u32)| b.0.total_cmp(&a.0);
-        let mut best: Vec<(usize, f64)> = Vec::with_capacity(k.min(rows) + 1);
-        let mut kth_score = f64::NEG_INFINITY;
-        let mut scanned = 0usize;
-        let (mut done, mut block) = (0, k.saturating_mul(4).max(256));
-        'scan: while done < rows {
-            let end = rows.min(done.saturating_add(block));
-            let rest = &mut order[done..];
-            if end < rows {
-                rest.select_nth_unstable_by(end - done - 1, descending);
-            }
-            rest[..end - done].sort_unstable_by(descending);
-            for &(bound, x) in &order[done..end] {
-                let x = x as usize;
-                if best.len() == k && bound < kth_score {
-                    break 'scan; // no remaining candidate can beat the k-th best
-                }
-                if x == q_internal {
-                    continue; // top_k excludes the query itself
-                }
-                scanned += 1;
-                let score = c * self.z.row_ref(x).dot(uq);
-                // `>=`, not `>`: an equal score can still displace the
-                // current k-th best on the original-id tie-break, so ties
-                // at the threshold must enter the candidate set for the
-                // result to be independent of the (bound-driven) scan
-                // order.
-                if best.len() < k || score >= kth_score {
-                    best.push((self.original_id(x), score));
-                    best.sort_by(|a, b| {
-                        b.1.partial_cmp(&a.1)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.0.cmp(&b.0))
-                    });
-                    best.truncate(k);
-                    kth_score = if best.len() == k { best[k - 1].1 } else { f64::NEG_INFINITY };
-                }
-            }
-            done = end;
-            block = block.saturating_mul(4);
-        }
-        Ok(TopK { hits: best, scanned })
+    /// [`CoSimRankError::QueryOutOfBounds`] on an invalid node id.
+    pub fn top_k(&self, q: usize, k: usize) -> Result<Vec<(usize, f64)>, CoSimRankError> {
+        Ok(top_k_from_column(&self.single_source(q)?, q, k))
     }
 
     /// Similarity join: every ordered pair `(x, y)`, `x ≠ y`, with
@@ -893,18 +692,19 @@ impl CsrPlusModel {
             });
         }
         let c = self.config.damping;
-        let u_norms_desc = sorted_row_norms(&self.u);
+        let z_norms = sorted_row_norms(&self.z);
+        let u_norms = sorted_row_norms(&self.u);
         let mut out: Vec<(usize, usize, f64)> = Vec::new();
-        for &(zn, x) in &self.z_norms_desc {
+        for &(zn, x) in &z_norms {
             // The largest possible score for this x is against the
             // largest ‖u‖; once even that dies, every later x (smaller
             // ‖z‖) dies too.
-            let best_possible = c * zn * u_norms_desc.first().map_or(0.0, |p| p.0);
+            let best_possible = c * zn * u_norms.first().map_or(0.0, |p| p.0);
             if best_possible < threshold {
                 break;
             }
             let x = x as usize;
-            for &(un, y) in &u_norms_desc {
+            for &(un, y) in &u_norms {
                 if c * zn * un < threshold {
                     break; // u-norms only shrink from here
                 }
@@ -964,23 +764,6 @@ fn sorted_row_norms(m: &Factor) -> Vec<(f64, u32)> {
     });
     norms.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
     norms
-}
-
-/// Per-row `(m[i,0], ‖m[i,1..]‖)` — the exact leading coordinate plus the
-/// norm of the tail, feeding the split retrieval bound of
-/// [`CsrPlusModel::top_k_pruned`].  Filled on the shared pool, one slot
-/// per row.
-fn split_row_bounds(m: &Factor) -> Vec<(f64, f64)> {
-    let mut bounds: Vec<(f64, f64)> = vec![(0.0, 0.0); m.rows()];
-    let chunk = csrplus_par::chunk_len(m.rows(), 2 * m.cols().max(1), MIN_ONLINE_WORK);
-    csrplus_par::for_each_chunk_mut(&mut bounds, chunk, csrplus_par::threads(), |ci, out| {
-        let lo = ci * chunk;
-        for (off, slot) in out.iter_mut().enumerate() {
-            let row = m.row_ref(lo + off);
-            *slot = (row.first(), row.tail_norm2());
-        }
-    });
-    bounds
 }
 
 /// Solves `P = c·H·P·Hᵀ + I_r` by repeated squaring (Algorithm 1, line 5):
@@ -1302,6 +1085,11 @@ mod tests {
         }
         // In Example 3.6, d is the most similar node to b (0.49).
         assert_eq!(top[0].0, 3);
+        // `k` is caller-controlled: past every candidate it returns them
+        // all, and `k = 0` returns nothing.
+        assert_eq!(m.top_k(1, usize::MAX).unwrap().len(), 5);
+        assert!(m.top_k(1, 0).unwrap().is_empty());
+        assert!(m.top_k(9, 3).is_err());
     }
 
     #[test]
@@ -1340,53 +1128,6 @@ mod tests {
         // A threshold above every off-diagonal score yields nothing.
         let empty = m.similarity_join(10.0, &MemoryBudget::unlimited()).unwrap();
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn pruned_top_k_matches_naive() {
-        let m = fig1_model(3);
-        for q in 0..6 {
-            // `k` is caller-controlled: a `k` past every candidate must
-            // return them all, without sizing a buffer by `k`.
-            for k in [1usize, 3, 5, 10, usize::MAX] {
-                let naive = m.top_k(q, k).unwrap();
-                let pruned = m.top_k_pruned(q, k).unwrap();
-                assert_eq!(naive.len(), pruned.len(), "q={q} k={k}");
-                for (a, b) in naive.iter().zip(pruned.iter()) {
-                    assert_eq!(a.0, b.0, "q={q} k={k}: {naive:?} vs {pruned:?}");
-                    assert_eq!(
-                        a.1.to_bits(),
-                        b.1.to_bits(),
-                        "q={q} k={k}: {naive:?} vs {pruned:?}"
-                    );
-                }
-            }
-        }
-        assert!(m.top_k_pruned(9, 3).is_err());
-        assert!(m.top_k_pruned(0, 0).unwrap().is_empty());
-    }
-
-    /// The pruned scan builds its candidate order a block at a time (256
-    /// candidates, then 4× more per step); on a larger graph the scan
-    /// crosses block boundaries and must still return the naive answer,
-    /// bit for bit.
-    #[test]
-    fn pruned_top_k_matches_naive_across_selection_blocks() {
-        let g = csrplus_graph::generators::erdos_renyi(1500, 6000, 5).unwrap();
-        let cfg = CsrPlusConfig { rank: 6, ..Default::default() };
-        let m = CsrPlusModel::precompute(&TransitionMatrix::from_graph(&g), &cfg).unwrap();
-        let bits = |top: Vec<(usize, f64)>| -> Vec<(usize, u64)> {
-            top.into_iter().map(|(i, s)| (i, s.to_bits())).collect()
-        };
-        let mut widest = 0;
-        for q in [0, 7, 700, 1499] {
-            for k in [1, 10, 300, 1500] {
-                let TopK { hits, scanned } = m.top_k_scan(q, k, None).unwrap();
-                assert_eq!(bits(hits), bits(m.top_k(q, k).unwrap()), "q={q} k={k}");
-                widest = widest.max(scanned);
-            }
-        }
-        assert!(widest > 256, "no scan left the first block (widest {widest})");
     }
 
     /// The fig-1 model relabeled under `order[internal] = original`:
@@ -1444,7 +1185,7 @@ mod tests {
         assert_eq!(ta, permuted.columns_into(&plan, &mut scratch).unwrap());
         // Top-k and the join report original ids.
         for q in 0..6 {
-            assert_eq!(identity.top_k_pruned(q, 3).unwrap(), permuted.top_k_pruned(q, 3).unwrap());
+            assert_eq!(identity.top_k(q, 3).unwrap(), permuted.top_k(q, 3).unwrap());
         }
         assert_eq!(
             identity.similarity_join(0.3, &MemoryBudget::unlimited()).unwrap(),
@@ -1496,29 +1237,6 @@ mod tests {
     }
 
     #[test]
-    fn range_top_k_unions_to_global_top_k() {
-        let m = fig1_model(3);
-        for q in 0..6 {
-            for k in [1usize, 2, 4] {
-                let global = m.top_k_pruned(q, k).unwrap();
-                let mut merged: Vec<(usize, f64)> = Vec::new();
-                for (lo, hi) in [(0usize, 2usize), (2, 4), (4, 6)] {
-                    merged.extend(m.top_k_scan(q, k, Some(lo..hi)).unwrap().hits);
-                }
-                merged.sort_by(|a, b| {
-                    b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-                });
-                merged.truncate(k);
-                assert_eq!(global, merged, "q={q} k={k}");
-            }
-        }
-        #[allow(clippy::reversed_empty_ranges)] // the invalid range under test
-        let backwards = Some(5..2);
-        assert!(m.top_k_scan(0, 3, backwards).is_err());
-        assert!(m.top_k_scan(0, 3, Some(0..0)).unwrap().hits.is_empty());
-    }
-
-    #[test]
     fn top_k_ties_break_by_original_id_under_permutation() {
         // Hand-built factors with duplicate scores: U identical for all
         // queries, Z rows engineered so nodes {1, 2, 4} tie exactly.
@@ -1561,11 +1279,9 @@ mod tests {
         // must be {3, 1} (highest score, then smallest original id) for
         // both orderings, for every query node.
         for q in 0..n {
-            let a = identity.top_k_pruned(q, 2).unwrap();
-            let b = shuffled.top_k_pruned(q, 2).unwrap();
+            let a = identity.top_k(q, 2).unwrap();
+            let b = shuffled.top_k(q, 2).unwrap();
             assert_eq!(a, b, "q={q}");
-            let naive = identity.top_k(q, 2).unwrap();
-            assert_eq!(a, naive, "q={q} pruned vs naive");
             let want: Vec<usize> = [3usize, 1, 2].into_iter().filter(|&x| x != q).take(2).collect();
             let got: Vec<usize> = a.iter().map(|&(x, _)| x).collect();
             assert_eq!(got, want, "q={q}");

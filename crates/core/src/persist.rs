@@ -10,9 +10,10 @@
 //!   `csrplus-store` artifact layout: 64-byte-aligned little-endian
 //!   sections behind a checksummed section table (see
 //!   [`csrplus_store::format`]).  Sections: `meta` (u64 header fields),
-//!   `sigma`/`u`/`z`/`p`/`h0` (the factors), and the derived pruning
-//!   tables `zn.norm`/`zn.id`/`zs` so loads skip their `O(n·r)`
-//!   recomputation.  v2 files can be *memory-mapped*: [`load_model`]
+//!   `sigma`/`u`/`z`/`p`/`h0` (the factors), and `perm`/`perm.meta` for
+//!   a reordered model.  Files from older writers also carry Z norm
+//!   tables (`zn.norm`, `zn.id`, `zs`); the reader ignores them.  v2
+//!   files can be *memory-mapped*: [`load_model`]
 //!   borrows `U`/`Z` straight off the page cache (controlled by the
 //!   `CSRPLUS_STORE` env var — `mmap`, `owned`, or `auto`), making
 //!   time-to-first-query independent of model size.
@@ -275,39 +276,6 @@ pub fn write_model_with_epoch<W: Write>(
     w.section_f64s("p", model.p().as_slice())?;
     w.section_f64s("h0", model.h0().as_slice())?;
 
-    // Derived pruning tables, streamed through stack chunks so loads can
-    // skip their O(n·r) recomputation without the writer materialising
-    // columnar copies.
-    let (z_norms_desc, z_split) = model.derived_tables();
-    let mut f64s = [0f64; 512];
-    let mut u32s = [0u32; 512];
-    w.begin_section("zn.norm", DType::F64)?;
-    for chunk in z_norms_desc.chunks(512) {
-        for (slot, &(norm, _)) in f64s.iter_mut().zip(chunk.iter()) {
-            *slot = norm;
-        }
-        w.put_f64s(&f64s[..chunk.len()])?;
-    }
-    w.end_section()?;
-    w.begin_section("zn.id", DType::U32)?;
-    for chunk in z_norms_desc.chunks(512) {
-        for (slot, &(_, id)) in u32s.iter_mut().zip(chunk.iter()) {
-            *slot = id;
-        }
-        w.put_u32s(&u32s[..chunk.len()])?;
-    }
-    w.end_section()?;
-    w.begin_section("zs", DType::F64)?;
-    for chunk in z_split.chunks(256) {
-        let mut k = 0;
-        for &(head, rest) in chunk {
-            f64s[k] = head;
-            f64s[k + 1] = rest;
-            k += 2;
-        }
-        w.put_f64s(&f64s[..k])?;
-    }
-    w.end_section()?;
     // Node permutation (only when the model was built on a reordered
     // graph): `perm` holds `order[internal] = original` and `perm.meta`
     // the reordering strategy tag.  Absent sections mean identity, so
@@ -501,18 +469,6 @@ pub fn model_from_artifact(artifact: &Artifact) -> Result<CsrPlusModel, PersistE
     };
     let p = mk(rank, rank, artifact.decode_f64s("p")?)?;
     let h0 = mk(rank, rank, artifact.decode_f64s("h0")?)?;
-    // Derived pruning tables (O(n), small next to the n·r factors).
-    let norms = artifact.decode_f64s("zn.norm")?;
-    let ids = artifact.decode_u32s("zn.id")?;
-    let zs = artifact.decode_f64s("zs")?;
-    if norms.len() != n || ids.len() != n || zs.len() != 2 * n {
-        return Err(PersistError::Malformed("derived table lengths disagree with n".into()));
-    }
-    if ids.iter().any(|&id| id as usize >= n.max(1)) {
-        return Err(PersistError::Malformed("zn.id entry out of range".into()));
-    }
-    let z_norms_desc: Vec<(f64, u32)> = norms.into_iter().zip(ids).collect();
-    let z_split: Vec<(f64, f64)> = zs.chunks_exact(2).map(|c| (c[0], c[1])).collect();
     // The big factors: zero-copy off a mapped region, owned otherwise.
     // The section dtype — not any process-global setting — decides the
     // in-memory precision, so a file always loads the way it was built.
@@ -542,18 +498,8 @@ pub fn model_from_artifact(artifact: &Artifact) -> Result<CsrPlusModel, PersistE
             Factor::OwnedF32(mk32(n, rank, artifact.decode_f32s("z")?)?),
         ),
     };
-    let model = CsrPlusModel::from_factors_with_tables(
-        config,
-        n,
-        u,
-        z,
-        sigma,
-        p,
-        h0,
-        z_norms_desc,
-        z_split,
-    )
-    .map_err(|e: CoSimRankError| PersistError::Malformed(e.to_string()))?;
+    let model = CsrPlusModel::from_factors(config, n, u, z, sigma, p, h0)
+        .map_err(|e: CoSimRankError| PersistError::Malformed(e.to_string()))?;
     // Optional node permutation (reordered-graph artifacts).
     match artifact.section("perm") {
         None => Ok(model),
@@ -738,9 +684,6 @@ mod tests {
         let a = owned.multi_source(&[1, 3]).unwrap();
         let b = mapped.multi_source(&[1, 3]).unwrap();
         assert!(a.approx_eq(&b, 0.0), "mapped answers must be bitwise identical");
-        // Derived tables were persisted, not recomputed: they match too.
-        assert_eq!(owned.derived_tables().0, mapped.derived_tables().0);
-        assert_eq!(owned.derived_tables().1, mapped.derived_tables().1);
         std::fs::remove_file(&path).ok();
     }
 
@@ -756,7 +699,7 @@ mod tests {
         let a = m.multi_source(&[1, 3]).unwrap();
         let b = loaded.multi_source(&[1, 3]).unwrap();
         assert!(a.approx_eq(&b, 0.0), "permuted model must answer identically after reload");
-        assert_eq!(m.top_k_pruned(0, 3).unwrap(), loaded.top_k_pruned(0, 3).unwrap());
+        assert_eq!(m.top_k(0, 3).unwrap(), loaded.top_k(0, 3).unwrap());
         // Mapped and owned loads agree on the permuted model too.
         let dir = std::env::temp_dir().join("csrplus_persist_test_perm");
         std::fs::create_dir_all(&dir).unwrap();

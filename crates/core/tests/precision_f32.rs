@@ -52,10 +52,10 @@ fn f32_mode_end_to_end() {
     assert!(diff > 0.0, "f32 storage must actually round something");
     assert!(diff < 1e-6, "AvgDiff vs f64 too large: {diff:e}");
 
-    // Point lookups and pruned top-k run off the same stored values.
+    // Point lookups and top-k run off the same stored values.
     let s = m32.similarity(queries[1], queries[0]).unwrap();
     assert_eq!(s, a32.get(queries[1], 0), "similarity must match the query column");
-    let top = m32.top_k_pruned(queries[0], 5).unwrap();
+    let top = m32.top_k(queries[0], 5).unwrap();
     assert_eq!(top.len(), 5);
 
     // v2 round-trip: the on-disk dtype is f32 and both backends answer

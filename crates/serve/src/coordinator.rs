@@ -30,9 +30,9 @@ use crate::cache::{Column, ColumnCache};
 use crate::http;
 use crate::json::{self, Json, Value};
 use crate::metrics::Histogram;
-use crate::render;
 use crate::snapshot::{Snapshot, SnapshotHandle};
 use crate::wire;
+use csrplus_core::topk::{select_top_k, top_k_from_column};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -49,8 +49,8 @@ pub struct ShardSpec {
     pub hi: usize,
 }
 
-/// Per-shard upper-bound ingredients, precomputed once at boot from the
-/// model's split tables: for every internal row `x` in the shard,
+/// Per-shard upper-bound ingredients, derived from `Z`'s rows once per
+/// model epoch: for every internal row `x` in the shard,
 /// `score(x, q) = c·Z[x]·U[q] ≤ c·(z0[x]·u0[q] + ‖z[x,1..]‖·‖u[q,1..]‖)`,
 /// so `c·(max(u0·z0_max, u0·z0_min) + urest·zrest_max)` bounds every
 /// score the shard could contribute.
@@ -115,11 +115,12 @@ impl GatherMetrics {
 /// The coordinator is snapshot-scoped like the local engine: every
 /// gather method takes the request's [`Snapshot`] and answers entirely
 /// against it.  The per-shard bound table is derived from a snapshot's
-/// split tables and memoised by epoch, so the epoch-0 steady state costs
-/// one boot-time derivation exactly as before.
+/// `Z` rows on the first top-k gather of each epoch and memoised, so a
+/// static model pays one `O(n·r)` pass, and a mapped model touches no
+/// factor page at boot.
 pub struct Coordinator {
     shards: Vec<ShardSpec>,
-    bounds: Mutex<EpochBounds>,
+    bounds: Mutex<Option<EpochBounds>>,
     cache: Arc<ColumnCache>,
     timeout: Duration,
     hedge: Duration,
@@ -127,7 +128,7 @@ pub struct Coordinator {
     pub metrics: GatherMetrics,
 }
 
-/// The bound table plus the epoch whose split tables produced it.
+/// The bound table plus the epoch whose `Z` rows produced it.
 struct EpochBounds {
     epoch: u64,
     bounds: Vec<ShardBound>,
@@ -141,7 +142,7 @@ impl Coordinator {
     /// Discovers every shard's row range (retrying while they boot),
     /// validates that together they tile `0..n` exactly and that every
     /// shard reports the same model epoch (shards without an epoch field
-    /// are epoch 0), and precomputes the per-shard bound table.
+    /// are epoch 0).
     pub fn connect(
         handle: Arc<SnapshotHandle>,
         shard_addrs: &[String],
@@ -210,21 +211,23 @@ impl Coordinator {
             return Err(format!("shard ranges stop at {next}, model has {n} rows"));
         }
 
-        let bounds =
-            Mutex::new(EpochBounds { epoch: boot.epoch(), bounds: derive_bounds(&boot, &shards) });
         let metrics = GatherMetrics::new(shards.len());
-        Ok(Coordinator { shards, bounds, cache, timeout, hedge, metrics })
+        Ok(Coordinator { shards, bounds: Mutex::new(None), cache, timeout, hedge, metrics })
     }
 
-    /// The bound table for `snapshot`, memoised by epoch: recomputed
-    /// only when a request arrives under a newer published model.
+    /// The bound table for `snapshot`, memoised by epoch: derived on the
+    /// first request, then again only when a request arrives under a
+    /// newer published model.
     fn bounds_for(&self, snapshot: &Snapshot) -> Vec<ShardBound> {
         let mut cached = self.bounds.lock().expect("bounds lock");
-        if cached.epoch != snapshot.epoch() {
-            cached.epoch = snapshot.epoch();
-            cached.bounds = derive_bounds(snapshot, &self.shards);
+        match &*cached {
+            Some(c) if c.epoch == snapshot.epoch() => c.bounds.clone(),
+            _ => {
+                let bounds = derive_bounds(snapshot, &self.shards);
+                *cached = Some(EpochBounds { epoch: snapshot.epoch(), bounds: bounds.clone() });
+                bounds
+            }
         }
-        cached.bounds.clone()
     }
 
     /// One hedged, budgeted GET against shard `si`.  A second identical
@@ -421,7 +424,7 @@ impl Coordinator {
         }
         if rank.is_none() {
             if let Some(col) = self.cache.get(q, snapshot.epoch()) {
-                return Ok(render::top_k_from_column(&col, q, k));
+                return Ok(top_k_from_column(&col, q, k));
             }
         }
         if k == 0 {
@@ -467,10 +470,7 @@ impl Coordinator {
                 let score = wire::decode_f64(hex).map_err(|e| (502, e))?;
                 best.push((id, score));
             }
-            best.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-            });
-            best.truncate(k);
+            best = select_top_k(best, k);
             kth = if best.len() == k { best[k - 1].1 } else { f64::NEG_INFINITY };
             self.metrics.gather_merge_us.observe_duration(merge_start.elapsed());
         }
@@ -494,16 +494,19 @@ fn rank_suffix(rank: Option<usize>) -> String {
     rank.map(|t| format!("&rank={t}")).unwrap_or_default()
 }
 
-/// Builds the per-shard split-bound table from a snapshot's derived
-/// tables (see [`ShardBound`]).
+/// Builds the per-shard split-bound table from a snapshot's `Z` rows
+/// (see [`ShardBound`]): each row contributes its leading coordinate
+/// `Z[x,0]` and the norm of the rest, `‖Z[x,1..]‖`.
 fn derive_bounds(snapshot: &Snapshot, shards: &[ShardSpec]) -> Vec<ShardBound> {
-    let (_, z_split) = snapshot.model().derived_tables();
+    let z = snapshot.model().z();
     shards
         .iter()
         .map(|s| {
             let mut b =
                 ShardBound { z0_min: f64::INFINITY, z0_max: f64::NEG_INFINITY, zrest_max: 0.0 };
-            for &(z0, zrest) in &z_split[s.lo..s.hi] {
+            for x in s.lo..s.hi {
+                let row = z.row_ref(x);
+                let (z0, zrest) = (row.first(), row.tail_norm2());
                 b.z0_min = b.z0_min.min(z0);
                 b.z0_max = b.z0_max.max(z0);
                 b.zrest_max = b.zrest_max.max(zrest);

