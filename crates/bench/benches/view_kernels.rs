@@ -20,6 +20,9 @@
 //! across thread caps 1 and the configured pool width (the determinism
 //! contract).
 //!
+//! The `env` object records the commit, cores, ISA, thread cap and
+//! storage precision the file was measured with.
+//!
 //! Run with `cargo bench -p csrplus-bench --bench view_kernels`.
 
 #[global_allocator]
@@ -74,8 +77,8 @@ fn measure<R>(mut f: impl FnMut() -> R) -> (Measure, R) {
 }
 
 /// Modified Gram–Schmidt thin QR materialising one column vector per
-/// step — the owned-allocation pattern the Householder view sweep
-/// replaced (same O(n·r²) flop count, so the contrast is copies, not
+/// step — the owned-allocation pattern of the seed (same O(n·r²) flop
+/// count as `thin_qr`, so the contrast is copies and kernels, not
 /// asymptotics).
 fn mgs_qr(a: &DenseMatrix) -> (DenseMatrix, DenseMatrix) {
     let (n, r) = a.shape();
@@ -137,14 +140,14 @@ fn main() {
     assert_eq!(serial.as_slice(), pooled.as_slice(), "A*Bt: cross-cap divergence");
     rows.push(Row { name: "matmul_t_b_4096x64x64", owned, view });
 
-    // --- QR: owned column-copying MGS vs the in-place Householder sweep
-    // over strided reflector panels.
+    // --- QR: owned column-copying MGS vs `thin_qr` (CholeskyQR2 on the
+    // pooled matmul kernels for this well-conditioned panel).
     let (owned, (oq, or)) = measure(|| mgs_qr(&tall));
     let (view, vqr) = measure(|| thin_qr(&tall).expect("full column rank w.h.p."));
     let o_recon = oq.matmul(&or).expect("conforming shapes");
     let v_recon = vqr.q.matmul(&vqr.r).expect("conforming shapes");
     assert!(o_recon.approx_eq(&tall, 1e-9), "MGS reconstruction drifted");
-    assert!(v_recon.approx_eq(&tall, 1e-9), "Householder reconstruction drifted");
+    assert!(v_recon.approx_eq(&tall, 1e-9), "thin_qr reconstruction drifted");
     rows.push(Row { name: "qr_4096x64", owned, view });
 
     // --- precompute: view path vs view path + the model-layer clones the
@@ -182,6 +185,7 @@ fn main() {
 
     // --- report ----------------------------------------------------------
     let mut json = String::from("{\n");
+    let _ = writeln!(json, "  \"env\": {},", csrplus_bench::report::env_json());
     let _ = writeln!(json, "  \"n\": {N},");
     let _ = writeln!(json, "  \"rank\": {RANK},");
     let _ = writeln!(json, "  \"threads\": {pooled_cap},");

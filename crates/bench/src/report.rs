@@ -164,6 +164,28 @@ pub fn fmt_bytes(b: usize) -> String {
     }
 }
 
+/// The environment a `BENCH_*.json` was measured in, as one JSON object
+/// line: the commit (`git describe --always --dirty`, `"unknown"` outside
+/// a checkout), the cores the OS offers, the active SIMD ISA, the
+/// `csrplus_par` thread cap and the storage precision.
+pub fn env_json() -> String {
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    format!(
+        "{{\"commit\": \"{commit}\", \"cores\": {cores}, \"isa\": \"{}\", \"threads\": {}, \"precision\": \"{}\"}}",
+        csrplus_linalg::simd::active(),
+        csrplus_par::threads(),
+        csrplus_core::precision::storage_precision().name(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

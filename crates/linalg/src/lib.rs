@@ -9,7 +9,8 @@
 //!
 //! * [`DenseMatrix`] — row-major dense matrices with BLAS-like kernels
 //!   (blocked multiply, transpose-multiply, rank updates);
-//! * [`qr`] — thin Householder QR used to orthonormalise subspace bases;
+//! * [`qr`] — thin QR (CholeskyQR2, with a Householder fallback) used to
+//!   orthonormalise subspace bases;
 //! * [`jacobi`] — a cyclic Jacobi eigensolver for small symmetric matrices;
 //! * [`svd`] — one-sided Jacobi SVD for small dense matrices (exact) and
 //!   the [`svd::TruncatedSvd`] result type;

@@ -14,11 +14,12 @@
 //! 4. `U = W·Vb`, `V = Ub`, truncate to rank `r`.
 //!
 //! Every heavy step — the operator applies in the power iterations (the
-//! pooled SpMM of `csrplus-graph` / dense matmul here), the Householder
-//! panel sweeps inside `qr`, and the final `W·Vb` — runs on the shared
-//! `csrplus_par` worker pool with shape-only chunking, so the
-//! factorisation is bitwise reproducible at any thread count (on top of
-//! being deterministic given `seed`).
+//! pooled SpMM of `csrplus-graph` / dense matmul here), the Gram products
+//! and triangular panel products of the CholeskyQR2 inside `qr` (or its
+//! Householder fallback on an ill-conditioned panel), and the final
+//! `W·Vb` — runs on the shared `csrplus_par` worker pool with shape-only
+//! chunking, so the factorisation is bitwise reproducible at any thread
+//! count (on top of being deterministic given `seed`).
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;

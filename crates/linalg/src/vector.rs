@@ -134,10 +134,19 @@ pub fn norm_inf(x: &[f64]) -> f64 {
     x.iter().fold(0.0f64, |m, v| m.max(v.abs()))
 }
 
-/// Largest absolute element-wise difference between two equal-length slices.
+/// Largest absolute element-wise difference between two equal-length
+/// slices; NaN when any difference is NaN (`f64::max` alone would drop
+/// it, and a NaN-filled matrix would then pass every tolerance check).
 pub fn max_abs_diff(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "max_abs_diff: length mismatch");
-    x.iter().zip(y.iter()).fold(0.0f64, |m, (a, b)| m.max((a - b).abs()))
+    x.iter().zip(y.iter()).fold(0.0f64, |m, (a, b)| {
+        let d = (a - b).abs();
+        if d > m || d.is_nan() {
+            d
+        } else {
+            m
+        }
+    })
 }
 
 /// Normalises `x` to unit L2 norm in place; returns the original norm.
@@ -220,5 +229,8 @@ mod tests {
     #[test]
     fn max_abs_diff_finds_worst() {
         assert_eq!(max_abs_diff(&[1.0, 2.0, 3.0], &[1.0, 5.0, 2.5]), 3.0);
+        // A NaN anywhere is the worst difference, wherever it sits.
+        assert!(max_abs_diff(&[f64::NAN, 2.0], &[1.0, 5.0]).is_nan());
+        assert!(max_abs_diff(&[1.0, 2.0], &[1.0, f64::NAN]).is_nan());
     }
 }

@@ -4,10 +4,14 @@
 //! the job or hands it straight back when the queue is full, so the
 //! accept loop can shed load with a `503` instead of letting an
 //! unbounded backlog grow.  Shutdown is graceful — workers drain every
-//! job already admitted before exiting.
+//! job already admitted before exiting.  A job that panics is caught at
+//! the worker: its captured connection drops (and so closes), the pool
+//! counts the panic, and the worker takes the next job.
 
 use crate::gauge::LoadGauge;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -26,6 +30,8 @@ struct Shared {
     /// Mirrors the queue depth for lock-free readers (adaptive linger,
     /// degrade watermark, Retry-After advice).
     gauge: Option<Arc<LoadGauge>>,
+    /// Jobs that panicked (caught; the worker lived on).
+    panics: AtomicU64,
 }
 
 /// The pool: `workers` threads pulling from one bounded queue.
@@ -50,6 +56,7 @@ impl WorkerPool {
             ready: Condvar::new(),
             capacity: capacity.max(1),
             gauge,
+            panics: AtomicU64::new(0),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -82,6 +89,11 @@ impl WorkerPool {
     /// Jobs currently waiting (not yet picked up by a worker).
     pub fn queued(&self) -> usize {
         self.shared.queue.lock().expect("pool queue poisoned").jobs.len()
+    }
+
+    /// Jobs that have panicked since the pool started.
+    pub fn panics(&self) -> u64 {
+        self.shared.panics.load(Ordering::Relaxed)
     }
 
     /// Stops admissions, drains every queued job, and joins the workers.
@@ -124,7 +136,11 @@ fn worker_loop(shared: &Shared) {
         if let Some(gauge) = &shared.gauge {
             gauge.decr();
         }
-        job();
+        // Unwinding drops the job and the connection it owns, which
+        // closes.  The pool's own lock is not held here.
+        if catch_unwind(AssertUnwindSafe(job)).is_err() {
+            shared.panics.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -216,6 +232,39 @@ mod tests {
         release_tx.send(()).unwrap();
         pool.shutdown();
         assert_eq!(gauge.depth(), 0, "drained queue reads empty");
+    }
+
+    #[test]
+    fn panicking_jobs_leave_every_worker_alive() {
+        let pool = WorkerPool::new(2, 8);
+        for _ in 0..4 {
+            pool.try_submit(Box::new(|| panic!("injected job panic")))
+                .unwrap_or_else(|_| panic!("admission failed"));
+        }
+        // Two jobs that each hold a worker until both have started: they
+        // can only both start if both workers survived the panics.
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let mut releases = Vec::new();
+        for _ in 0..2 {
+            let started_tx = started_tx.clone();
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            releases.push(release_tx);
+            pool.try_submit(Box::new(move || {
+                started_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            }))
+            .unwrap_or_else(|_| panic!("admission failed"));
+        }
+        for _ in 0..2 {
+            started_rx.recv_timeout(Duration::from_secs(5)).expect("a worker died");
+        }
+        // FIFO: each worker finished its panicking jobs before taking a
+        // blocking one, so every panic is already counted.
+        assert_eq!(pool.panics(), 4);
+        for release in releases {
+            release.send(()).unwrap();
+        }
+        pool.shutdown();
     }
 
     #[test]
