@@ -4,8 +4,8 @@
 //! `BENCH_par.json` at the repository root.
 //!
 //! Sizes follow the acceptance target (n = 4096, r = 64).  The pooled
-//! column reports the shared pool at its configured width
-//! (`CSRPLUS_THREADS` / `--threads` / available parallelism); the serial
+//! column reports the shared pool at its default width (available
+//! parallelism); the serial
 //! column forces a thread cap of 1 through the same code path.  On a
 //! single-core runner the expected speedup is ~1.0× — the determinism
 //! contract guarantees the *results* are bitwise identical either way,
@@ -109,6 +109,7 @@ fn main() {
     );
 
     let mut json = String::from("{\n");
+    let _ = writeln!(json, "  \"env\": {},", csrplus_bench::report::env_json());
     let _ = writeln!(json, "  \"n\": {N},");
     let _ = writeln!(json, "  \"rank\": {RANK},");
     let _ = writeln!(json, "  \"pooled_threads\": {pooled_cap},");

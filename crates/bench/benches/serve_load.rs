@@ -242,6 +242,7 @@ fn main() {
     let overload_goodput_ratio = over.3.goodput_rps() / near.3.goodput_rps().max(1.0);
 
     let mut json = String::from("{\n");
+    let _ = writeln!(json, "  \"env\": {},", csrplus_bench::report::env_json());
     let _ = writeln!(json, "  \"n\": {N},");
     let _ = writeln!(json, "  \"edges\": {EDGES},");
     let _ = writeln!(json, "  \"rank\": {RANK},");

@@ -20,7 +20,7 @@
 //! Run with `cargo bench -p csrplus-bench --bench simd_kernels`.
 
 use csrplus_core::metrics::avg_diff;
-use csrplus_core::{set_storage_precision, CsrPlusConfig, CsrPlusModel, Precision, Query};
+use csrplus_core::{CsrPlusConfig, CsrPlusModel, Precision, Query};
 use csrplus_graph::generators::erdos_renyi::erdos_renyi;
 use csrplus_graph::TransitionMatrix;
 use csrplus_linalg::{
@@ -309,11 +309,9 @@ fn main() {
         let queries: Vec<usize> = (0..32).map(|i| (i * 97) % N).collect();
         let q_flops = 2.0 * (N * RANK * queries.len()) as f64;
 
-        set_storage_precision(Precision::F64);
         let m64 = CsrPlusModel::precompute(&transition, &config).expect("precompute succeeds");
-        set_storage_precision(Precision::F32);
-        let m32 = CsrPlusModel::precompute(&transition, &config).expect("precompute succeeds");
-        set_storage_precision(Precision::F64);
+        let config32 = CsrPlusConfig { precision: Precision::F32, ..config };
+        let m32 = CsrPlusModel::precompute(&transition, &config32).expect("precompute succeeds");
 
         let plan = Query::new(&queries);
         let mut scratch = DenseMatrix::zeros(0, 0);
@@ -357,6 +355,7 @@ fn main() {
 
     // --- report ----------------------------------------------------------
     let mut json = String::from("{\n");
+    let _ = writeln!(json, "  \"env\": {},", csrplus_bench::report::env_json());
     let _ = writeln!(json, "  \"reps\": {REPS},");
     let _ = writeln!(json, "  \"threads\": 1,");
     let _ = writeln!(json, "  \"simd_isa\": \"{}\",", simd::active());

@@ -167,7 +167,8 @@ pub fn fmt_bytes(b: usize) -> String {
 /// The environment a `BENCH_*.json` was measured in, as one JSON object
 /// line: the commit (`git describe --always --dirty`, `"unknown"` outside
 /// a checkout), the cores the OS offers, the active SIMD ISA, the
-/// `csrplus_par` thread cap and the storage precision.
+/// `csrplus_par` thread cap and the storage precision of a default
+/// config (a bench that builds at another precision says so per row).
 pub fn env_json() -> String {
     let commit = std::process::Command::new("git")
         .args(["describe", "--always", "--dirty", "--abbrev=12"])

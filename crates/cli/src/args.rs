@@ -1,7 +1,9 @@
 //! Hand-rolled argument parsing (no external CLI crates).
 
+use csrplus_core::Precision;
 use csrplus_datasets::{DatasetId, Scale};
 use csrplus_graph::partition::Reordering;
+use csrplus_store::Backend;
 use std::path::PathBuf;
 
 /// Usage text printed on parse errors.
@@ -30,13 +32,20 @@ usage:
   csrplus pack       <model.csrp> --out <packed.csrp>
   csrplus inspect    <model.csrp> [--verify]
 
-global flags (any position):
+global flags (any position), each overriding its environment variable:
   --threads N        cap the shared worker pool at N threads
-                     (default: CSRPLUS_THREADS or available parallelism)
+                     (CSRPLUS_THREADS; default: available parallelism)
   --precision f64|f32
                      storage precision for newly built models: f32 halves
                      the U/Z footprint, accumulation stays f64
-                     (default: CSRPLUS_PRECISION or f64)";
+                     (CSRPLUS_PRECISION; default: f64; a loaded model
+                     keeps the precision its file stores)
+
+environment:
+  CSRPLUS_STORE=auto|mmap|owned
+                     how model files are opened: mmap borrows the factors
+                     from the page cache, owned reads and verifies the
+                     whole file (default: auto, mmap on Unix)";
 
 /// A fully parsed command.
 #[derive(Debug, Clone, PartialEq)]
@@ -194,51 +203,102 @@ pub enum Command {
     },
 }
 
-/// Strips a global `--threads N` flag (valid in any position) out of `argv`.
-///
-/// Returns the requested thread cap, if any, plus the remaining arguments.
-/// Extracting the pair *before* subcommand dispatch keeps the value token
-/// from being mistaken for a positional argument by [`parse`].
-pub fn extract_threads(argv: &[String]) -> Result<(Option<usize>, Vec<String>), String> {
-    let mut threads = None;
-    let mut rest = Vec::with_capacity(argv.len());
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--threads" {
-            let v = it.next().ok_or("missing value for --threads")?;
-            let n: usize = parse_num(v, "threads")?;
-            if n == 0 {
-                return Err("--threads must be at least 1".to_string());
-            }
-            threads = Some(n);
-        } else {
-            rest.push(arg.clone());
-        }
-    }
-    Ok((threads, rest))
+/// Process-level settings: each comes from its global flag, else its
+/// environment variable, else its default.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Settings {
+    /// Worker-pool cap (`--threads`, `CSRPLUS_THREADS`); `None` leaves the
+    /// pool at the machine's available parallelism.
+    pub threads: Option<usize>,
+    /// Storage precision of newly built models (`--precision`,
+    /// `CSRPLUS_PRECISION`).
+    pub precision: Precision,
+    /// How model files are opened (`CSRPLUS_STORE`).
+    pub store: Backend,
 }
 
-/// Strips a global `--precision f64|f32` flag (valid in any position) out
-/// of `argv`, mirroring [`extract_threads`].
-pub fn extract_precision(
-    argv: &[String],
-) -> Result<(Option<csrplus_core::Precision>, Vec<String>), String> {
-    let mut precision = None;
+/// The values of the settings' environment variables (`None`: unset).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Env<'a> {
+    /// `CSRPLUS_THREADS`.
+    pub threads: Option<&'a str>,
+    /// `CSRPLUS_PRECISION`.
+    pub precision: Option<&'a str>,
+    /// `CSRPLUS_STORE`.
+    pub store: Option<&'a str>,
+}
+
+/// Strips the global `--threads N` and `--precision P` flags (valid in
+/// any position) out of `argv` and resolves every [`Settings`] field
+/// against `env`.  Extracting the pairs *before* subcommand dispatch keeps
+/// a value token from being mistaken for a positional argument by
+/// [`parse`].  A bad value, in a flag or a variable, is an error naming
+/// it — never a silent default.
+pub fn extract_settings(argv: &[String], env: Env) -> Result<(Settings, Vec<String>), String> {
+    let mut threads = env_setting("CSRPLUS_THREADS", env.threads, parse_threads)?;
+    let mut precision = env_setting("CSRPLUS_PRECISION", env.precision, parse_precision)?;
+    let store = env_setting("CSRPLUS_STORE", env.store, parse_store)?;
     let mut rest = Vec::with_capacity(argv.len());
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
-        if arg == "--precision" {
-            let v = it.next().ok_or("missing value for --precision")?;
-            precision = Some(match v.as_str() {
-                "f64" | "double" => csrplus_core::Precision::F64,
-                "f32" | "single" | "mixed" => csrplus_core::Precision::F32,
-                other => return Err(format!("unknown precision {other:?}")),
-            });
-        } else {
-            rest.push(arg.clone());
+        match arg.as_str() {
+            "--threads" => threads = Some(flag_setting(arg, it.next(), parse_threads)?),
+            "--precision" => precision = Some(flag_setting(arg, it.next(), parse_precision)?),
+            _ => rest.push(arg.clone()),
         }
     }
-    Ok((precision, rest))
+    let settings = Settings {
+        threads,
+        precision: precision.unwrap_or_default(),
+        store: store.unwrap_or(Backend::Auto),
+    };
+    Ok((settings, rest))
+}
+
+/// Parses a set variable's value, naming the variable in the error.
+fn env_setting<T>(
+    name: &str,
+    value: Option<&str>,
+    parse: fn(&str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    value.map(|v| parse(v).map_err(|e| format!("{name}: {e}"))).transpose()
+}
+
+/// Parses a flag's value token, naming the flag in the error.
+fn flag_setting<T>(
+    flag: &str,
+    value: Option<&String>,
+    parse: fn(&str) -> Result<T, String>,
+) -> Result<T, String> {
+    let v = value.ok_or_else(|| format!("missing value for {flag}"))?;
+    parse(v).map_err(|e| format!("{flag}: {e}"))
+}
+
+/// A worker-pool cap: a positive integer.
+fn parse_threads(v: &str) -> Result<usize, String> {
+    match v.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("invalid thread count {v:?} (expected an integer ≥ 1)")),
+    }
+}
+
+/// A storage precision: `f64` or `f32`.
+fn parse_precision(v: &str) -> Result<Precision, String> {
+    match v {
+        "f64" => Ok(Precision::F64),
+        "f32" => Ok(Precision::F32),
+        _ => Err(format!("unknown precision {v:?} (expected f64|f32)")),
+    }
+}
+
+/// A store backend: `auto`, `mmap` or `owned`.
+fn parse_store(v: &str) -> Result<Backend, String> {
+    match v {
+        "auto" => Ok(Backend::Auto),
+        "mmap" => Ok(Backend::Mmap),
+        "owned" => Ok(Backend::Owned),
+        _ => Err(format!("unknown store backend {v:?} (expected auto|mmap|owned)")),
+    }
 }
 
 /// Parses `argv` (without the program name).
@@ -670,53 +730,79 @@ mod tests {
         }
     }
 
+    fn settings(line: &str, env: Env) -> Result<(Settings, Vec<String>), String> {
+        extract_settings(&argv(line), env)
+    }
+
     #[test]
-    fn threads_flag_is_stripped_in_any_position() {
-        let (threads, rest) = extract_threads(&argv("--threads 4 stats g.txt")).unwrap();
-        assert_eq!(threads, Some(4));
+    fn settings_flags_are_stripped_in_any_position() {
+        let (s, rest) = settings("--threads 4 stats g.txt", Env::default()).unwrap();
+        assert_eq!(s.threads, Some(4));
         assert_eq!(parse(&rest).unwrap(), Command::Stats { graph: PathBuf::from("g.txt") });
 
         // After the subcommand, before the positional: the value token must
         // not be mistaken for the graph path.
-        let (threads, rest) = extract_threads(&argv("stats --threads 2 g.txt")).unwrap();
-        assert_eq!(threads, Some(2));
+        let (s, rest) =
+            settings("stats --threads 2 --precision f32 g.txt", Env::default()).unwrap();
+        assert_eq!((s.threads, s.precision), (Some(2), Precision::F32));
         assert_eq!(parse(&rest).unwrap(), Command::Stats { graph: PathBuf::from("g.txt") });
 
-        let (threads, rest) = extract_threads(&argv("topk m.csrp --node 4")).unwrap();
-        assert_eq!(threads, None);
+        let (s, rest) =
+            settings("precompute g.txt --precision f64 --out m", Env::default()).unwrap();
+        assert_eq!(s.precision, Precision::F64);
+        assert!(matches!(parse(&rest).unwrap(), Command::Precompute { .. }));
+
+        let (s, rest) = settings("topk m.csrp --node 4", Env::default()).unwrap();
+        assert_eq!(s, Settings { threads: None, precision: Precision::F64, store: Backend::Auto });
         assert_eq!(rest, argv("topk m.csrp --node 4"));
     }
 
     #[test]
-    fn precision_flag_is_stripped_in_any_position() {
-        let (p, rest) = extract_precision(&argv("--precision f32 stats g.txt")).unwrap();
-        assert_eq!(p, Some(csrplus_core::Precision::F32));
-        assert_eq!(parse(&rest).unwrap(), Command::Stats { graph: PathBuf::from("g.txt") });
-
-        let (p, rest) =
-            extract_precision(&argv("precompute g.txt --precision f64 --out m")).unwrap();
-        assert_eq!(p, Some(csrplus_core::Precision::F64));
-        assert!(matches!(parse(&rest).unwrap(), Command::Precompute { .. }));
-
-        let (p, rest) = extract_precision(&argv("stats g.txt")).unwrap();
-        assert_eq!(p, None);
-        assert_eq!(rest, argv("stats g.txt"));
-
-        assert!(extract_precision(&argv("stats g.txt --precision")).unwrap_err().contains("value"));
-        assert!(extract_precision(&argv("--precision f16 stats g.txt"))
-            .unwrap_err()
-            .contains("unknown precision"));
+    fn variables_set_defaults_and_flags_override_them() {
+        let env = Env { threads: Some("3"), precision: Some("f32"), store: Some("owned") };
+        let (s, _) = settings("stats g.txt", env).unwrap();
+        assert_eq!(
+            s,
+            Settings { threads: Some(3), precision: Precision::F32, store: Backend::Owned }
+        );
+        let (s, _) = settings("stats g.txt --threads 1 --precision f64", env).unwrap();
+        assert_eq!((s.threads, s.precision), (Some(1), Precision::F64));
+        for (value, backend) in [("auto", Backend::Auto), ("mmap", Backend::Mmap)] {
+            let (s, _) =
+                settings("stats g.txt", Env { store: Some(value), ..Env::default() }).unwrap();
+            assert_eq!(s.store, backend);
+        }
     }
 
     #[test]
-    fn threads_flag_rejects_bad_values() {
-        assert!(extract_threads(&argv("stats g.txt --threads")).unwrap_err().contains("value"));
-        assert!(extract_threads(&argv("--threads lots stats g.txt"))
-            .unwrap_err()
-            .contains("invalid threads"));
-        assert!(extract_threads(&argv("--threads 0 stats g.txt"))
-            .unwrap_err()
-            .contains("at least 1"));
+    fn bad_values_are_rejected_naming_their_source() {
+        let err = |line: &str, env: Env| settings(line, env).unwrap_err();
+        assert!(
+            err("stats g.txt --threads", Env::default()).contains("missing value for --threads")
+        );
+        assert!(err("stats g.txt --precision", Env::default()).contains("--precision"));
+        for bad in ["lots", "0", "-1"] {
+            let flag = err(&format!("--threads {bad} stats g.txt"), Env::default());
+            assert!(flag.starts_with("--threads: invalid thread count"), "{flag}");
+        }
+        for bad in ["lots", "0", "-1", " 4", ""] {
+            let var = err("stats g.txt", Env { threads: Some(bad), ..Env::default() });
+            assert!(var.starts_with("CSRPLUS_THREADS: invalid thread count"), "{var}");
+        }
+        // The old undocumented aliases are gone along with the typos.
+        for bad in ["f16", "single", "mixed", "double", ""] {
+            let var = err("stats g.txt", Env { precision: Some(bad), ..Env::default() });
+            assert!(var.starts_with("CSRPLUS_PRECISION: unknown precision"), "{var}");
+        }
+        assert!(err("--precision f16 stats g.txt", Env::default())
+            .starts_with("--precision: unknown precision"));
+        for bad in ["mmpa", "MMAP", ""] {
+            let var = err("stats g.txt", Env { store: Some(bad), ..Env::default() });
+            assert!(var.starts_with("CSRPLUS_STORE: unknown store backend"), "{var}");
+        }
+        // A bad variable is reported even when a flag would override it.
+        let var = err("--threads 2 stats g.txt", Env { threads: Some("abc"), ..Env::default() });
+        assert!(var.contains("CSRPLUS_THREADS"), "{var}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Command implementations.
 
-use crate::args::Command;
+use crate::args::{Command, Settings};
 use csrplus_core::topk::select_top_k;
 use csrplus_core::{exact, persist, CsrPlusConfig, CsrPlusModel};
 use csrplus_graph::io::{read_snap_file, write_snap_file};
@@ -9,8 +9,10 @@ use csrplus_graph::TransitionMatrix;
 use std::error::Error;
 use std::time::Instant;
 
-/// Executes a parsed command.
-pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
+/// Executes a parsed command under the process-level `settings`
+/// (`threads` is already applied to the worker pool).
+pub fn run(cmd: Command, settings: &Settings) -> Result<(), Box<dyn Error>> {
+    let load = |path: &std::path::Path| persist::load_model_with(path, settings.store);
     match cmd {
         Command::Generate { dataset, scale, out } => {
             let t0 = Instant::now();
@@ -48,7 +50,14 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
         }
         Command::Precompute { graph, rank, damping, epsilon, backend, reorder, out } => {
             let loaded = read_snap_file(&graph)?;
-            let config = CsrPlusConfig { rank, damping, epsilon, backend, ..Default::default() };
+            let config = CsrPlusConfig {
+                rank,
+                damping,
+                epsilon,
+                backend,
+                precision: settings.precision,
+                ..Default::default()
+            };
             let t0 = Instant::now();
             // Locality-aware reordering happens *before* precompute: the
             // factors are built over relabeled internal rows, and the
@@ -82,7 +91,7 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
             Ok(())
         }
         Command::Query { model, nodes, top } => {
-            let m = persist::load_model(&model)?;
+            let m = load(&model)?;
             let t0 = Instant::now();
             let s = m.multi_source(&nodes)?;
             let dt = t0.elapsed();
@@ -115,7 +124,7 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
             Ok(())
         }
         Command::Topk { model, node, k } => {
-            let m = persist::load_model(&model)?;
+            let m = load(&model)?;
             let top = m.top_k(node, k)?;
             for (rank, (i, v)) in top.iter().enumerate() {
                 println!("{:>3}. node {i:<10} {v:.6}", rank + 1);
@@ -123,7 +132,7 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
             Ok(())
         }
         Command::Join { model, threshold, limit } => {
-            let m = persist::load_model(&model)?;
+            let m = load(&model)?;
             let t0 = Instant::now();
             let pairs = m.similarity_join(threshold, &csrplus_memtrack::MemoryBudget::default())?;
             let dt = t0.elapsed();
@@ -158,7 +167,7 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
             ingest_checkpoint,
         } => {
             let t0 = Instant::now();
-            let m = persist::load_model(&model)?;
+            let m = load(&model)?;
             let load_time = t0.elapsed();
             let mut config = csrplus_serve::ServeConfig::default();
             if let Some(w) = workers {
@@ -197,7 +206,8 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
             }
             if let Some(graph_path) = ingest {
                 // The artifact donates the precompute configuration (rank,
-                // damping, epsilon, backend); the graph donates the structure.
+                // damping, epsilon, backend, storage precision); the graph
+                // donates the structure.
                 // The dynamic engine rebuilds the factors from the graph so
                 // the boot snapshot (epoch 0) reflects the graph exactly.
                 let loaded = read_snap_file(&graph_path)?;
@@ -284,7 +294,7 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
             adaptive_linger,
         } => {
             let t0 = Instant::now();
-            let m = persist::load_model(&model)?;
+            let m = load(&model)?;
             let load_time = t0.elapsed();
             let (lo, hi) = rows;
             if hi > m.n() {
@@ -322,7 +332,7 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
         }
         Command::Pack { input, out } => {
             let t0 = Instant::now();
-            let m = persist::load_model(&input)?;
+            let m = load(&input)?;
             let read = t0.elapsed();
             persist::save_model(&m, &out)?;
             let in_bytes = std::fs::metadata(&input)?.len();
@@ -356,7 +366,7 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
                 println!("repack as v2 with: csrplus pack {} <out.csrp>", model.display());
                 if verify {
                     let t0 = Instant::now();
-                    let m = persist::load_model(&model)?;
+                    let m = load(&model)?;
                     println!(
                         "checksum OK ({} nodes at rank {}, verified in {:.1?})",
                         m.n(),
@@ -366,8 +376,7 @@ pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
                 }
                 return Ok(());
             }
-            let artifact =
-                csrplus_store::Artifact::open(&model, csrplus_store::Backend::from_env())?;
+            let artifact = csrplus_store::Artifact::open(&model, settings.store)?;
             println!(
                 "opened {} ({} sections)",
                 if artifact.is_mapped() { "memory-mapped" } else { "owned" },

@@ -30,12 +30,20 @@
 //! locality-aware node reordering first so each query's top-k candidates
 //! concentrate in few shards.
 //!
-//! The global `--threads N` flag (any position) caps the shared
-//! `csrplus-par` worker pool that every compute kernel runs on; it
-//! overrides the `CSRPLUS_THREADS` environment variable.  The global
-//! `--precision f64|f32` flag selects the storage precision newly built
-//! models use (`precompute`); it overrides `CSRPLUS_PRECISION`.  Loading
-//! always follows the file's own dtype, whatever the flag says.
+//! Three settings apply to every subcommand.  Each is a global flag
+//! (any position) or an environment variable, and the flag wins:
+//!
+//! * `--threads N` / `CSRPLUS_THREADS` caps the shared `csrplus-par`
+//!   worker pool every compute kernel runs on (default: available
+//!   parallelism);
+//! * `--precision f64|f32` / `CSRPLUS_PRECISION` selects the storage
+//!   precision `precompute` builds with (default `f64`).  Loading always
+//!   follows the file's own dtype, and `serve --ingest` rebuilds at it;
+//! * `CSRPLUS_STORE=auto|mmap|owned` selects how model files are opened
+//!   (default `auto`: mmap on Unix).
+//!
+//! This file is the only place they are read; the libraries take each as
+//! a value.  A bad value exits 2 with a usage error naming its source.
 
 mod args;
 mod commands;
@@ -44,44 +52,32 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let argv = match args::extract_threads(&argv) {
-        Ok((threads, rest)) => {
-            if let Some(n) = threads {
-                csrplus_par::set_threads(n);
-            }
-            rest
-        }
+    let threads = std::env::var("CSRPLUS_THREADS").ok();
+    let precision = std::env::var("CSRPLUS_PRECISION").ok();
+    let store = std::env::var("CSRPLUS_STORE").ok();
+    let env = args::Env {
+        threads: threads.as_deref(),
+        precision: precision.as_deref(),
+        store: store.as_deref(),
+    };
+    let parsed = args::extract_settings(&argv, env)
+        .and_then(|(settings, rest)| Ok((settings, args::parse(&rest)?)));
+    let (settings, cmd) = match parsed {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}\n");
             eprintln!("{}", args::USAGE);
             return ExitCode::from(2);
         }
     };
-    let argv = match args::extract_precision(&argv) {
-        Ok((precision, rest)) => {
-            if let Some(p) = precision {
-                csrplus_core::set_storage_precision(p);
-            }
-            rest
-        }
+    if let Some(n) = settings.threads {
+        csrplus_par::set_threads(n);
+    }
+    match commands::run(cmd, &settings) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}\n");
-            eprintln!("{}", args::USAGE);
-            return ExitCode::from(2);
-        }
-    };
-    match args::parse(&argv) {
-        Ok(cmd) => match commands::run(cmd) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            eprintln!("{}", args::USAGE);
-            ExitCode::from(2)
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
     }
 }

@@ -4,8 +4,14 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+/// The binary with none of its settings variables inherited: a test
+/// sets exactly the ones it checks.
 fn bin() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_csrplus"))
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_csrplus"));
+    for var in ["CSRPLUS_THREADS", "CSRPLUS_PRECISION", "CSRPLUS_STORE"] {
+        cmd.env_remove(var);
+    }
+    cmd
 }
 
 fn tmp(name: &str) -> PathBuf {
@@ -106,4 +112,53 @@ fn bad_usage_exits_nonzero() {
     let out = bin().args(["query", "/nonexistent.csrp", "--nodes", "0"]).output().expect("spawn");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("error"));
+
+    // A bad settings value is a usage error naming its variable, not a
+    // silent default.
+    let bad_values = [
+        ("CSRPLUS_THREADS", "abc"),
+        ("CSRPLUS_THREADS", "0"),
+        ("CSRPLUS_PRECISION", "f16"),
+        ("CSRPLUS_STORE", "mmpa"),
+    ];
+    for (var, bad) in bad_values {
+        let out = bin().args(["stats", "g.txt"]).env(var, bad).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{var}={bad} must be a usage error");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(var) && err.contains("usage"), "{var}={bad}: {err}");
+    }
+}
+
+#[test]
+fn settings_variables_reach_the_commands() {
+    let graph = tmp("settings.txt");
+    let model = tmp("settings.csrp");
+    let graph_s = graph.to_str().unwrap();
+    let model_s = model.to_str().unwrap();
+    std::fs::write(&graph, "0 1\n1 2\n2 0\n2 1\n").unwrap();
+
+    // `inspect`'s dtype column shows the precision the build stored, and
+    // its first line shows how the store opened the file.
+    let u_dtype = |env: &[(&str, &str)], extra: &[&str]| -> String {
+        let mut args = vec!["precompute", graph_s, "--rank", "2", "--out", model_s];
+        args.extend_from_slice(extra);
+        let out = bin().args(&args).envs(env.iter().copied()).output().expect("spawn");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let out =
+            bin().args(["inspect", model_s]).envs(env.iter().copied()).output().expect("spawn");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8_lossy(&out.stdout).to_string();
+        let owned = env.contains(&("CSRPLUS_STORE", "owned")) || !cfg!(unix);
+        let opened = if owned { "opened owned" } else { "opened memory-mapped" };
+        assert!(text.contains(opened), "{text}");
+        let row = text.lines().find(|l| l.starts_with("u ")).expect("u section row");
+        row.split_whitespace().nth(1).unwrap().to_string()
+    };
+    assert_eq!(u_dtype(&[], &[]), "f64");
+    assert_eq!(u_dtype(&[("CSRPLUS_PRECISION", "f32")], &[]), "f32");
+    assert_eq!(u_dtype(&[("CSRPLUS_PRECISION", "f32")], &["--precision", "f64"]), "f64");
+    assert_eq!(u_dtype(&[("CSRPLUS_STORE", "owned")], &["--precision", "f32"]), "f32");
+
+    std::fs::remove_file(&graph).ok();
+    std::fs::remove_file(&model).ok();
 }

@@ -1,6 +1,7 @@
 //! CSR+ configuration and iteration-count bounds.
 
 use crate::error::CoSimRankError;
+use crate::precision::Precision;
 use csrplus_linalg::lanczos::LanczosSvdConfig;
 use csrplus_linalg::randomized::RandomizedSvdConfig;
 
@@ -33,6 +34,9 @@ pub struct CsrPlusConfig {
     pub seed: u64,
     /// Which truncated-SVD algorithm to use.
     pub backend: SvdBackend,
+    /// Storage precision of the memoised `U` and `Z` (line 6).  A loaded
+    /// model reports the precision its artifact stores.
+    pub precision: Precision,
 }
 
 impl Default for CsrPlusConfig {
@@ -45,6 +49,7 @@ impl Default for CsrPlusConfig {
             power_iterations: 2,
             seed: 0xC0_51_31,
             backend: SvdBackend::Randomized,
+            precision: Precision::F64,
         }
     }
 }
@@ -141,6 +146,7 @@ mod tests {
         assert_eq!(c.damping, 0.6);
         assert_eq!(c.rank, 5);
         assert_eq!(c.epsilon, 1e-5);
+        assert_eq!(c.precision, Precision::F64);
         assert!(c.validate(100).is_ok());
     }
 

@@ -48,4 +48,4 @@ pub use engine::{CoSimRankEngine, EngineOutcome};
 pub use error::CoSimRankError;
 pub use factor::{DenseMatrixF32, Factor, FactorView, RowRef};
 pub use model::{CsrPlusModel, ModelPermutation, Query};
-pub use precision::{set_storage_precision, storage_precision, Precision};
+pub use precision::{storage_precision, Precision};

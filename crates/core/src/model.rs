@@ -231,7 +231,7 @@ impl CsrPlusModel {
         let z = u.matmul(&sps)?;
         // Storage demotion happens here, *after* the full-precision
         // computation.
-        let (u, z) = match crate::precision::storage_precision() {
+        let (u, z) = match config.precision {
             Precision::F64 => (Factor::from(u), Factor::from(z)),
             Precision::F32 => (
                 Factor::from(DenseMatrixF32::from_f64(&u)),
@@ -272,7 +272,8 @@ impl CsrPlusModel {
     /// first query.
     ///
     /// # Errors
-    /// [`CoSimRankError::InvalidConfig`] when the shapes are inconsistent.
+    /// [`CoSimRankError::InvalidConfig`] when the shapes are inconsistent
+    /// or `U`/`Z` are not stored at `config.precision`.
     pub fn from_factors(
         config: CsrPlusConfig,
         n: usize,
@@ -288,6 +289,9 @@ impl CsrPlusModel {
         };
         if u.shape() != (n, r) || z.shape() != (n, r) {
             return Err(bad("U/Z shapes"));
+        }
+        if u.precision() != config.precision || z.precision() != config.precision {
+            return Err(bad("U/Z precision"));
         }
         if p.shape() != (r, r) || h0.shape() != (r, r) {
             return Err(bad("P/H₀ shapes"));
@@ -364,7 +368,7 @@ impl CsrPlusModel {
 
     /// Storage precision of the dense factors (`U` and `Z` always agree).
     pub fn precision(&self) -> Precision {
-        self.u.precision()
+        self.config.precision
     }
 
     /// Graph size `n`.
@@ -1051,8 +1055,38 @@ mod tests {
     #[test]
     fn all_pairs_is_symmetric() {
         let m = fig1_model(3);
+        assert_eq!(m.precision(), Precision::F64);
         let s = m.all_pairs(&MemoryBudget::unlimited()).unwrap();
         assert!(s.approx_eq(&s.transpose(), 1e-9));
+    }
+
+    #[test]
+    fn f32_all_pairs_is_symmetric_within_storage_rounding() {
+        // `S = I + c·Z·Uᵀ` is symmetric because `Z = U·(ΣPΣ)` with `ΣPΣ`
+        // symmetric.  f32 storage rounds `U` and `Z` *separately*: each
+        // stored value is `x(1+δ)` with `|δ| ≤ 2⁻²⁴`, so each product
+        // `Z_ak·U_bk` moves by at most `(2⁻²³ + 2⁻⁴⁸)·|Z_ak·U_bk|` and
+        // `|S_ab − S_ba| ≤ c·(2⁻²³ + 2⁻⁴⁸)·Σ_k(|Z_ak·U_bk| + |Z_bk·U_ak|)`
+        // (`U`, `Z` here are the stored values, which differ from the exact
+        // ones by a further relative 2⁻²⁴ — the 1e-6 slack).  The f64
+        // accumulation adds ~1e-16, covered by the absolute 1e-15.
+        let t = TransitionMatrix::from_graph(&figure1_graph());
+        let cfg = CsrPlusConfig { rank: 3, precision: Precision::F32, ..Default::default() };
+        let m = CsrPlusModel::precompute(&t, &cfg).unwrap();
+        assert_eq!(m.precision(), Precision::F32);
+        let s = m.all_pairs(&MemoryBudget::unlimited()).unwrap();
+        let (n, r, c) = (m.n(), m.rank(), m.config().damping);
+        let (u, z) = (m.u(), m.z());
+        for a in 0..n {
+            for b in 0..n {
+                let mass: f64 = (0..r)
+                    .map(|k| (z.get(a, k) * u.get(b, k)).abs() + (z.get(b, k) * u.get(a, k)).abs())
+                    .sum();
+                let bound = c * (2f64.powi(-23) + 2f64.powi(-48)) * mass * (1.0 + 1e-6) + 1e-15;
+                let asym = (s.get(a, b) - s.get(b, a)).abs();
+                assert!(asym <= bound, "S[{a},{b}] asymmetric by {asym:e} > {bound:e}");
+            }
+        }
     }
 
     #[test]

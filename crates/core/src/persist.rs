@@ -13,10 +13,10 @@
 //!   `sigma`/`u`/`z`/`p`/`h0` (the factors), and `perm`/`perm.meta` for
 //!   a reordered model.  Files from older writers also carry Z norm
 //!   tables (`zn.norm`, `zn.id`, `zs`); the reader ignores them.  v2
-//!   files can be *memory-mapped*: [`load_model`]
-//!   borrows `U`/`Z` straight off the page cache (controlled by the
-//!   `CSRPLUS_STORE` env var — `mmap`, `owned`, or `auto`), making
-//!   time-to-first-query independent of model size.
+//!   files can be *memory-mapped*: [`load_model`] (the `auto` backend;
+//!   [`load_model_with`] takes an explicit one) borrows `U`/`Z` straight
+//!   off the page cache, making time-to-first-query independent of model
+//!   size.
 //! * **v1** is the legacy streaming layout (header + raw f64 payloads +
 //!   trailing FNV-1a).  v1 files still load — through the slow
 //!   fully-deserialising path — and `csrplus pack` rewrites them as v2.
@@ -418,8 +418,16 @@ fn read_model_v1_body<R: Read>(mut r: HashingReader<R>) -> Result<CsrPlusModel, 
     let mk = |rows: usize, cols: usize, data: Vec<f64>| -> Result<DenseMatrix, PersistError> {
         DenseMatrix::from_vec(rows, cols, data).map_err(|e| PersistError::Malformed(e.to_string()))
     };
-    let config =
-        CsrPlusConfig { damping, rank, epsilon, oversample, power_iterations, seed, backend };
+    let config = CsrPlusConfig {
+        damping,
+        rank,
+        epsilon,
+        oversample,
+        power_iterations,
+        seed,
+        backend,
+        precision: Precision::F64,
+    };
     CsrPlusModel::from_parts(
         config,
         n,
@@ -448,6 +456,13 @@ pub fn model_from_artifact(artifact: &Artifact) -> Result<CsrPlusModel, PersistE
     if rank == 0 || rank > n || n.saturating_mul(rank) > MAX_ELEMENTS {
         return Err(PersistError::Malformed(format!("implausible sizes n={n} r={rank}")));
     }
+    // The section dtype — not any caller setting — decides the
+    // precision, so a file always loads (and rebuilds) the way it was
+    // built.
+    let f32_factors = match artifact.section("u") {
+        Some(s) => s.dtype == DType::F32,
+        None => false,
+    };
     let config = CsrPlusConfig {
         damping: f64::from_bits(meta[6]),
         rank,
@@ -456,6 +471,7 @@ pub fn model_from_artifact(artifact: &Artifact) -> Result<CsrPlusModel, PersistE
         power_iterations: meta[3] as usize,
         seed: meta[4],
         backend: backend_from_tag(meta[5])?,
+        precision: if f32_factors { Precision::F32 } else { Precision::F64 },
     };
     let sigma = artifact.decode_f64s("sigma")?;
     if sigma.len() != rank {
@@ -470,12 +486,6 @@ pub fn model_from_artifact(artifact: &Artifact) -> Result<CsrPlusModel, PersistE
     let p = mk(rank, rank, artifact.decode_f64s("p")?)?;
     let h0 = mk(rank, rank, artifact.decode_f64s("h0")?)?;
     // The big factors: zero-copy off a mapped region, owned otherwise.
-    // The section dtype — not any process-global setting — decides the
-    // in-memory precision, so a file always loads the way it was built.
-    let f32_factors = match artifact.section("u") {
-        Some(s) => s.dtype == DType::F32,
-        None => false,
-    };
     let mk32 = |rows: usize, cols: usize, data: Vec<f32>| -> Result<DenseMatrixF32, PersistError> {
         DenseMatrixF32::from_vec(rows, cols, data)
             .map_err(|e| PersistError::Malformed(e.to_string()))
@@ -551,15 +561,14 @@ pub fn saved_epoch<P: AsRef<Path>>(path: P) -> Result<u64, PersistError> {
     }
 }
 
-/// Loads a model from a file path with the backend chosen by the
-/// `CSRPLUS_STORE` environment variable (`mmap`, `owned`, or `auto`).
+/// Loads a model from a file path with [`Backend::Auto`].
 ///
-/// v2 files honour the backend — under `mmap` (the `auto` default on
+/// v2 files honour the backend — under `mmap` (what `auto` picks on
 /// Unix) the dense factors are borrowed from the page cache and
 /// time-to-first-query is independent of model size.  v1 files take the
 /// legacy fully-deserialising path; repack them with `csrplus pack`.
 pub fn load_model<P: AsRef<Path>>(path: P) -> Result<CsrPlusModel, PersistError> {
-    load_model_with(path, Backend::from_env())
+    load_model_with(path, Backend::Auto)
 }
 
 /// [`load_model`] with an explicit [`Backend`] choice.

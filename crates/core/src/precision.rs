@@ -1,4 +1,4 @@
-//! Storage-precision selection for the memoised factors.
+//! Storage precision of the memoised factors.
 //!
 //! The CSR+ factors (`U`, `Z`, both `n × r`) dominate the model
 //! footprint.  Computation is always `f64` — every kernel accumulates in
@@ -10,20 +10,16 @@
 //! `simd_kernels` bench measures the actual AvgDiff rather than assuming
 //! it.
 //!
-//! Selection is process-global and read by
-//! [`crate::model::CsrPlusModel::from_svd`] at demotion time: the
-//! `CSRPLUS_PRECISION` environment variable (`f64` default, `f32` /
-//! `single` / `mixed` opt in) or the `--precision` CLI flag via
-//! [`set_storage_precision`].  Loading a persisted model ignores the
-//! global — the artifact's section dtypes say which precision it was
-//! built with.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! The precision is part of the model: [`crate::CsrPlusConfig::precision`]
+//! selects it when [`crate::model::CsrPlusModel::from_svd`] demotes the
+//! factors, and a loaded model takes it from its artifact's section
+//! dtypes.
 
 /// Storage precision of the dense factors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Precision {
     /// Full double-precision storage (the default).
+    #[default]
     F64,
     /// Single-precision storage with double-precision accumulation.
     F32,
@@ -39,60 +35,10 @@ impl Precision {
     }
 }
 
-const UNSET: u8 = 0;
-const P_F64: u8 = 1;
-const P_F32: u8 = 2;
-
-static STORAGE: AtomicU8 = AtomicU8::new(UNSET);
-
-fn from_env() -> u8 {
-    match std::env::var("CSRPLUS_PRECISION") {
-        Ok(v) if matches!(v.as_str(), "f32" | "single" | "mixed") => P_F32,
-        _ => P_F64,
-    }
-}
-
-/// The storage precision new models are built with.
-///
-/// First use reads `CSRPLUS_PRECISION`; later calls return the cached
-/// (or explicitly [`set_storage_precision`]-overridden) choice.
+/// The storage precision of a default-configured model:
+/// `CsrPlusConfig::default().precision`.  Kept for environment reports
+/// (the perfbench `env` block) that record the precision a default build
+/// uses; every build takes its precision from its own config.
 pub fn storage_precision() -> Precision {
-    let mut cur = STORAGE.load(Ordering::Relaxed);
-    if cur == UNSET {
-        cur = from_env();
-        STORAGE.store(cur, Ordering::Relaxed);
-    }
-    if cur == P_F32 {
-        Precision::F32
-    } else {
-        Precision::F64
-    }
-}
-
-/// Overrides the storage precision for subsequently built models
-/// (the `--precision` CLI flag; also used by tests and benches).
-pub fn set_storage_precision(p: Precision) {
-    STORAGE.store(
-        match p {
-            Precision::F64 => P_F64,
-            Precision::F32 => P_F32,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn override_round_trips() {
-        let before = storage_precision();
-        set_storage_precision(Precision::F32);
-        assert_eq!(storage_precision(), Precision::F32);
-        assert_eq!(storage_precision().name(), "f32");
-        set_storage_precision(Precision::F64);
-        assert_eq!(storage_precision(), Precision::F64);
-        set_storage_precision(before);
-    }
+    crate::CsrPlusConfig::default().precision
 }

@@ -1,9 +1,5 @@
-//! End-to-end coverage of the f32-storage precision mode.
-//!
-//! Lives in its own integration-test binary because the storage
-//! precision is a process-global: flipping it here cannot race the
-//! in-crate unit tests, and the two tests below share one `#[test]` so
-//! the flip/restore pair brackets everything deterministically.
+//! End-to-end coverage of the f32-storage precision mode, selected by
+//! `CsrPlusConfig::precision`.
 //!
 //! What must hold in f32 mode:
 //! * `precompute` demotes `U`/`Z` to f32 storage (accumulation stays
@@ -13,11 +9,16 @@
 //! * the legacy v1 writer widens losslessly, and the widened-f64 model
 //!   answers bitwise-identically to the mixed-kernel path (the f32
 //!   kernels use the same accumulation order on widened values);
-//! * accuracy vs the f64 model stays within a few ulps-of-f32 AvgDiff.
+//! * accuracy vs the f64 model stays within a few ulps-of-f32 AvgDiff;
+//! * a loaded f32 model hands its config — precision included — to
+//!   `DynamicCsrPlus`, which then rebuilds at f32 (what `serve --ingest`
+//!   does with an f32 artifact).
 
+use csrplus_core::dynamic::{DynamicConfig, DynamicCsrPlus};
 use csrplus_core::metrics::avg_diff;
+use csrplus_core::persist::load_model;
 use csrplus_core::persist::{load_model_with, read_model, save_model, write_model, write_model_v1};
-use csrplus_core::{set_storage_precision, CsrPlusConfig, CsrPlusModel, Precision};
+use csrplus_core::{CsrPlusConfig, CsrPlusModel, Precision};
 use csrplus_graph::{generators, TransitionMatrix};
 use csrplus_store::{Artifact, Backend, DType};
 
@@ -28,19 +29,15 @@ fn f32_mode_end_to_end() {
     let cfg = CsrPlusConfig::with_rank(12);
     let queries: Vec<usize> = vec![3, 77, 154, 298];
 
-    // Reference: full f64 storage.
-    set_storage_precision(Precision::F64);
+    // Reference: full f64 storage, the default.
     let m64 = CsrPlusModel::precompute(&t, &cfg).unwrap();
     assert_eq!(m64.u().precision(), Precision::F64);
     let a64 = m64.multi_source(&queries).unwrap();
 
     // Same graph, f32 storage.
-    set_storage_precision(Precision::F32);
-    let m32 = CsrPlusModel::precompute(&t, &cfg).unwrap();
-    // Restore the global immediately — everything below must depend only
-    // on the models and files, never on the process setting.
-    set_storage_precision(Precision::F64);
-
+    let m32 =
+        CsrPlusModel::precompute(&t, &CsrPlusConfig { precision: Precision::F32, ..cfg }).unwrap();
+    assert_eq!(m32.precision(), Precision::F32);
     assert_eq!(m32.u().precision(), Precision::F32);
     assert_eq!(m32.z().precision(), Precision::F32);
     let a32 = m32.multi_source(&queries).unwrap();
@@ -99,4 +96,32 @@ fn f32_mode_end_to_end() {
         assert_eq!(w, f64::from(s), "widened U diverges at flat index {i}");
     }
     assert!(widened.multi_source(&queries).unwrap().approx_eq(&a32, 0.0));
+}
+
+#[test]
+fn loaded_f32_model_rebuilds_dynamically_at_f32() {
+    let graph = generators::erdos_renyi(120, 900, 0xD32).unwrap();
+    let t = TransitionMatrix::from_graph(&graph);
+    let cfg = CsrPlusConfig { precision: Precision::F32, ..CsrPlusConfig::with_rank(6) };
+    let built = CsrPlusModel::precompute(&t, &cfg).unwrap();
+
+    let dir = std::env::temp_dir().join("csrplus_precision_f32_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("dynamic_{}.csrp", std::process::id()));
+    save_model(&built, &path).unwrap();
+    let loaded = load_model(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(loaded.config(), built.config(), "the file carries the whole config");
+
+    // `serve --ingest` boots its dynamic engine from the artifact's config.
+    let config = DynamicConfig { base: *loaded.config(), refresh_interval: usize::MAX };
+    let mut live = DynamicCsrPlus::new(&graph, config).unwrap();
+    assert_eq!(live.model().precision(), Precision::F32);
+    assert_eq!(live.model().u().precision(), Precision::F32);
+    // Incremental updates and full refreshes keep the precision too.
+    let y = (1..120).find(|&y| !live.has_edge(0, y)).unwrap();
+    assert!(live.insert_edge(0, y).unwrap());
+    assert_eq!(live.model().z().precision(), Precision::F32);
+    live.refresh().unwrap();
+    assert_eq!(live.model().z().precision(), Precision::F32);
 }

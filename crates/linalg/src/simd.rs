@@ -21,10 +21,9 @@
 //! [`crate::view`] — band boundaries and path choice depend on shapes and
 //! strides alone, exactly as before.
 //!
-//! Escape hatches: set `CSRPLUS_SIMD=off` (or `0` / `scalar`) in the
-//! environment before first use, or call [`set_enabled`] in-process (used
-//! by the determinism sweep and the kernel benchmarks to measure the
-//! scalar floor).
+//! [`set_enabled`] switches to the scalar kernels in-process (used by
+//! the determinism sweep and the kernel benchmarks to measure the scalar
+//! floor).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -40,7 +39,7 @@ const NEON: u8 = 3;
 /// Resolved instruction-set choice, cached after first use.
 static ACTIVE: AtomicU8 = AtomicU8::new(UNKNOWN);
 
-/// Best instruction set the host supports (ignores the env escape hatch).
+/// Best instruction set the host supports.
 fn detect_isa() -> u8 {
     #[cfg(target_arch = "x86_64")]
     {
@@ -57,15 +56,6 @@ fn detect_isa() -> u8 {
     SCALAR
 }
 
-/// First-use resolution: the `CSRPLUS_SIMD` escape hatch wins, then
-/// runtime feature detection.
-fn initial() -> u8 {
-    match std::env::var("CSRPLUS_SIMD") {
-        Ok(v) if matches!(v.as_str(), "off" | "0" | "scalar") => SCALAR,
-        _ => detect_isa(),
-    }
-}
-
 /// The active instruction set, resolving and caching it on first call.
 #[inline]
 fn isa() -> u8 {
@@ -73,7 +63,7 @@ fn isa() -> u8 {
     if k != UNKNOWN {
         return k;
     }
-    let k = initial();
+    let k = detect_isa();
     ACTIVE.store(k, Ordering::Relaxed);
     k
 }

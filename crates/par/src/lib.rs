@@ -19,16 +19,17 @@
 //! floating-point values in a fixed serial order, so results are
 //! **bitwise identical** whether a kernel runs on 1 thread or 64 — the
 //! serial path executes the very same chunks in index order.  This is
-//! what lets `CSRPLUS_THREADS=1` CI runs validate the parallel kernels.
+//! what lets a test run a kernel at cap 1 and cap 4 in one process and
+//! compare the bits.
 //!
 //! ## Sizing
 //!
-//! The effective parallelism is read once from the `CSRPLUS_THREADS`
-//! environment variable (a positive integer), falling back to
+//! The effective parallelism defaults to
 //! [`std::thread::available_parallelism`]; [`set_threads`] overrides it
-//! at runtime (the CLI's `--threads` flag), and every entry point also
-//! accepts an explicit per-call limit (`*_with_limit`, or the
-//! `*_with_threads` kernel variants layered on top of this crate).
+//! at runtime (the CLI applies `--threads` and its environment variable
+//! through it), and every entry point also accepts an explicit per-call
+//! limit (`*_with_limit`, or the `*_with_threads` kernel variants layered
+//! on top of this crate).
 
 #![warn(missing_docs)]
 
@@ -50,37 +51,26 @@ pub fn global() -> &'static Pool {
     GLOBAL_POOL.get_or_init(Pool::new)
 }
 
-/// The current effective parallelism: `CSRPLUS_THREADS` if set to a
-/// positive integer, otherwise the machine's available parallelism,
-/// unless overridden by [`set_threads`].  Always at least 1.
+/// The current effective parallelism: the machine's available
+/// parallelism unless overridden by [`set_threads`].  Always at least 1.
 pub fn threads() -> usize {
     let cur = GLOBAL_LIMIT.load(Ordering::Relaxed);
     if cur != 0 {
         return cur;
     }
-    let initial = default_threads();
+    let initial =
+        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
     // Racing initialisers compute the same value; first store wins.
     let _ = GLOBAL_LIMIT.compare_exchange(0, initial, Ordering::Relaxed, Ordering::Relaxed);
     GLOBAL_LIMIT.load(Ordering::Relaxed)
 }
 
 /// Overrides the effective parallelism for every subsequent kernel call
-/// (the CLI `--threads` flag and the determinism test suite).  Clamped
+/// (the CLI's `--threads` setting and the in-process thread-cap sweeps).  Clamped
 /// to at least 1; workers are spawned on demand, so raising the limit
 /// above the initial value is fine.
 pub fn set_threads(n: usize) {
     GLOBAL_LIMIT.store(n.max(1), Ordering::Relaxed);
-}
-
-fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("CSRPLUS_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
 /// Runs `task(i)` for every `i in 0..n_tasks` on the global pool at the

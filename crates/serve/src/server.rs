@@ -98,7 +98,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         // Size the HTTP worker pool from the shared `csrplus-par` limit
-        // (CSRPLUS_THREADS / --threads / available_parallelism) instead
+        // (available parallelism unless `set_threads` capped it) instead
         // of an independent hardware read: batch evaluation fans its
         // kernels out on that same pool, so an independent count would
         // oversubscribe the cores the kernels are already using.

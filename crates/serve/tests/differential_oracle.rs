@@ -6,9 +6,10 @@
 //! caching in between.  Every case also checks a `precompute
 //! --reorder`-style model of the same graph (factors built over relabeled
 //! rows, the permutation attached), whose answers must still speak
-//! original node ids.
+//! original node ids.  The storage precision is drawn per case, so both
+//! the f64 and the mixed f32 kernels answer through every route.
 
-use csrplus_core::{CsrPlusConfig, CsrPlusModel};
+use csrplus_core::{CsrPlusConfig, CsrPlusModel, Precision};
 use csrplus_graph::generators::erdos_renyi;
 use csrplus_graph::partition::{Partitioner, Permutation, Reordering};
 use csrplus_graph::{DiGraph, TransitionMatrix};
@@ -87,6 +88,7 @@ proptest! {
         reorder in 1usize..Reordering::ALL.len(),
         picks in proptest::collection::vec(0usize..1000, 12),
         k_seed in 0usize..1000,
+        f32_storage in proptest::bool::ANY,
     ) {
         let g = erdos_renyi(n, density * n, seed).unwrap();
         let rank = 1 + rank_seed % n.min(8);
@@ -105,8 +107,11 @@ proptest! {
             format!("/similarity?a={}&b={}", node(1), node(0)),
             format!("/topk?node={}&k={k}", node(3)),
         ];
-        let config = CsrPlusConfig::with_rank(rank);
-        check(CsrPlusModel::precompute(&TransitionMatrix::from_graph(&g), &config).unwrap(), &paths);
+        let precision = if f32_storage { Precision::F32 } else { Precision::F64 };
+        let config = CsrPlusConfig { precision, ..CsrPlusConfig::with_rank(rank) };
+        let model = CsrPlusModel::precompute(&TransitionMatrix::from_graph(&g), &config).unwrap();
+        prop_assert_eq!(model.precision(), precision);
+        check(model, &paths);
         let permuted = reordered(&g, &config, Reordering::ALL[reorder]);
         prop_assert!(permuted.permutation().is_some());
         check(permuted, &paths);

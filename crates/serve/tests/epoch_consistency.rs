@@ -17,7 +17,8 @@
 //!    these score magnitudes; that incremental drift is measured and
 //!    reported by the `serve_load` bench rather than asserted here.)
 //!
-//! CI runs this file under `CSRPLUS_THREADS=1` and `=4`: snapshot
+//! The storm runs at thread caps 1 and 4 (`csrplus_par::set_threads`,
+//! which also sizes the default server's worker pool): snapshot
 //! consistency must not depend on the evaluation runtime's width.
 
 use csrplus_core::dynamic::{DynamicConfig, DynamicCsrPlus};
@@ -115,9 +116,21 @@ fn query_storm_across_epoch_swaps_sees_single_epoch_snapshots() {
     reference.shutdown();
 
     // Pass 2 — a fresh server takes the same edits as a storm while
-    // readers hammer the probes.  Precompute and Brand updates are
-    // deterministic, so epoch `e` here holds the same model as epoch
-    // `e` above, and every response must match expected[e] exactly.
+    // readers hammer the probes, once per thread cap.  Precompute and
+    // Brand updates are deterministic at any cap, so epoch `e` here
+    // holds the same model as epoch `e` above, and every response must
+    // match expected[e] exactly.
+    let prior = csrplus_par::threads();
+    for cap in [1usize, 4] {
+        csrplus_par::set_threads(cap);
+        storm(&expected);
+    }
+    csrplus_par::set_threads(prior);
+}
+
+/// Storms a fresh ingesting server with [`OPS`] while four readers check
+/// every response against the quiet server's `expected[epoch][probe]`.
+fn storm(expected: &[Vec<String>]) {
     let storm =
         Server::start_ingesting(dynamic(), 0, ServeConfig::default(), IngestConfig::default())
             .expect("storm server");
@@ -127,7 +140,6 @@ fn query_storm_across_epoch_swaps_sees_single_epoch_snapshots() {
         let readers: Vec<_> = (0..4)
             .map(|r| {
                 let done = Arc::clone(&done);
-                let expected = &expected;
                 scope.spawn(move || {
                     let mut seen = 0usize;
                     let mut turn = r; // stagger which probe each reader starts on

@@ -14,22 +14,6 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Reads the `CSRPLUS_STORE` environment variable: `mmap`, `owned`,
-    /// or `auto` (default; also used for unrecognised values).
-    pub fn from_env() -> Backend {
-        Backend::parse(std::env::var("CSRPLUS_STORE").as_deref().ok())
-    }
-
-    /// The `CSRPLUS_STORE` value mapping, factored out so it can be
-    /// exercised without mutating the process environment.
-    pub fn parse(value: Option<&str>) -> Backend {
-        match value {
-            Some("mmap") => Backend::Mmap,
-            Some("owned") => Backend::Owned,
-            _ => Backend::Auto,
-        }
-    }
-
     /// Resolves `Auto` to a concrete choice for this platform.
     pub fn resolved(self) -> Backend {
         match self {

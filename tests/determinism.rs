@@ -13,9 +13,9 @@
 //! (part 2) for the layers the issues name — raw dense `matmul`, the
 //! full `precompute` pipeline (randomized SVD, repeated squaring,
 //! persisted model bytes), and the online `multi_source` query.
-//! Everything runs inside one `#[test]` because the thread cap, the
-//! SIMD switch, and the storage precision are all process-wide settings
-//! and the harness runs tests concurrently.
+//! The precision is a value in each run's config; everything runs inside
+//! one `#[test]` because the thread cap and the SIMD switch are
+//! process-wide settings and the harness runs tests concurrently.
 
 use csrplus_core::{persist, CsrPlusConfig, CsrPlusModel, Precision};
 use csrplus_graph::generators::erdos_renyi::erdos_renyi;
@@ -35,15 +35,15 @@ fn matmul_precompute_and_multi_source_are_bitwise_stable_across_thread_caps() {
     let b = DenseMatrix::random_gaussian(256, 512, &mut rng);
     let graph = erdos_renyi(3000, 30_000, 0xBEEF).expect("valid generator parameters");
     let transition = TransitionMatrix::from_graph(&graph);
-    let config = CsrPlusConfig::with_rank(24);
     let queries: Vec<usize> = (0..40).map(|i| (i * 71) % 3000).collect();
 
     let dir = std::env::temp_dir().join(format!("csrplus_determinism_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir is writable");
 
-    let run = |cap: usize, tag: &str| -> (Vec<f64>, Vec<u8>, Vec<f64>) {
+    let run = |precision: Precision, cap: usize, tag: &str| -> (Vec<f64>, Vec<u8>, Vec<f64>) {
         csrplus_par::set_threads(cap);
         let product = a.matmul(&b).expect("conforming shapes").into_vec();
+        let config = CsrPlusConfig { precision, ..CsrPlusConfig::with_rank(24) };
         let model = CsrPlusModel::precompute(&transition, &config).expect("precompute succeeds");
         let path = dir.join(format!("model_{tag}.csrp"));
         persist::save_model(&model, &path).expect("model saves");
@@ -52,17 +52,12 @@ fn matmul_precompute_and_multi_source_are_bitwise_stable_across_thread_caps() {
         (product, model_bytes, s)
     };
 
-    // Part 1: thread-cap sweep at f64 storage under whatever SIMD
-    // dispatch the environment selected (so the `CSRPLUS_SIMD=off` CI
-    // leg exercises the scalar kernels here, and part 2's SIMD-on legs
-    // then double as a scalar-vs-SIMD check against this baseline).
-    // Precision is pinned rather than inherited: part 2 sweeps f32
-    // explicitly, and the cross-check below needs an f64 baseline even
-    // when CI sets `CSRPLUS_PRECISION=f32`.
-    csrplus_core::set_storage_precision(Precision::F64);
+    // Part 1: thread-cap sweep at f64 storage under the detected SIMD
+    // dispatch (part 2's SIMD-off legs then double as a scalar-vs-SIMD
+    // check against this baseline).
     let mut baseline: Option<(Vec<f64>, Vec<u8>, Vec<f64>)> = None;
     for cap in THREAD_CAPS {
-        let (product, model_bytes, s) = run(cap, &format!("cap{cap}"));
+        let (product, model_bytes, s) = run(Precision::F64, cap, &format!("cap{cap}"));
         match &baseline {
             None => baseline = Some((product, model_bytes, s)),
             Some((p0, m0, s0)) => {
@@ -78,13 +73,12 @@ fn matmul_precompute_and_multi_source_are_bitwise_stable_across_thread_caps() {
     // precision every combination must agree bitwise; the f64 SIMD-on
     // results must also match part 1's baseline exactly (same settings).
     for precision in [Precision::F64, Precision::F32] {
-        csrplus_core::set_storage_precision(precision);
         let mut base: Option<(Vec<f64>, Vec<u8>, Vec<f64>)> = None;
         for simd_on in [true, false] {
             simd::set_enabled(simd_on);
             for cap in [1usize, 4] {
                 let tag = format!("{}_{}_cap{cap}", precision.name(), simd::active());
-                let (product, model_bytes, s) = run(cap, &tag);
+                let (product, model_bytes, s) = run(precision, cap, &tag);
                 if precision == Precision::F64 && simd_on {
                     assert_eq!(baseline.0, product, "f64 SIMD-on matmul drifted from part 1");
                     assert_eq!(baseline.1, model_bytes, "f64 SIMD-on model drifted from part 1");
@@ -102,7 +96,6 @@ fn matmul_precompute_and_multi_source_are_bitwise_stable_across_thread_caps() {
         }
         simd::set_enabled(true);
     }
-    csrplus_core::set_storage_precision(Precision::F64);
 
     std::fs::remove_dir_all(&dir).ok();
 }
