@@ -249,7 +249,7 @@ pub fn extract_settings(argv: &[String], env: Env) -> Result<(Settings, Vec<Stri
     }
     let settings = Settings {
         threads,
-        precision: precision.unwrap_or_default(),
+        precision: precision.unwrap_or(Precision::F64),
         store: store.unwrap_or(Backend::Auto),
     };
     Ok((settings, rest))

@@ -16,10 +16,9 @@
 //! dtypes.
 
 /// Storage precision of the dense factors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Precision {
     /// Full double-precision storage (the default).
-    #[default]
     F64,
     /// Single-precision storage with double-precision accumulation.
     F32,
