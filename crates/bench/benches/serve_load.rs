@@ -3,10 +3,13 @@
 //!
 //! Method (the loadgen crate's open-loop discipline):
 //!
-//! 1. **Capacity probe** — hammer a baseline server far past saturation
-//!    for a few seconds; the achieved goodput is the capacity estimate
-//!    `C`.  Probing rather than computing keeps the bench honest on any
-//!    box (client and server share cores here).
+//! 1. **Capacity probe** — offer a baseline server a rising Poisson
+//!    rate, step by step, until a step saturates it: it sheds more than
+//!    a burst's worth of requests with `503`, or falls behind its
+//!    schedule.  The goodput of the last step that did neither is the
+//!    capacity estimate `C`.  Probing rather than
+//!    computing keeps the bench honest on any box (client and server
+//!    share cores here).
 //! 2. **Three offered loads** — 0.5×C (under), 1×C (near), 2×C
 //!    (over), each a seeded Poisson schedule.  The same seed generates
 //!    byte-identical request streams for both server configurations, so
@@ -47,22 +50,32 @@ use std::time::{Duration, Instant};
 // adaptive server stays clear of its own (higher) capacity — a margin
 // that survives the probe's run-to-run noise on a shared-core box.  On
 // a small cache-resident model the adaptive path *loses* — degraded
-// answers bypass the cache by design, and a rank-4 evaluation cannot
-// beat a cache hit — so this bench also documents when the policy pays.
+// answers bypass the answer cache by design, and a rank-4 evaluation
+// cannot beat a cache hit — so this bench also documents when the policy
+// pays.
 const N: usize = 60_000;
 const EDGES: usize = 360_000;
 const RANK: usize = 64;
 const DEGRADE_RANK: usize = 4;
 const SEED: u64 = 42;
-// The probe needs to saturate the server without drowning the box in
-// client-side backlog (client and server share the cores here): a few
-// hundred queued requests is deep saturation for this model size, and
-// a larger probe only adds scheduler thrash that *underestimates*
+// The probe starts well under any plausible capacity and raises the
+// offered rate by `PROBE_GROWTH` per step.  Each step is short: a step
+// past the knee only needs long enough to shed or fall behind, and
+// deep client-side backlog adds scheduler thrash that *underestimates*
 // capacity.
-const PROBE_RPS: f64 = 100.0;
-const PROBE_S: f64 = 4.0;
+const PROBE_START_RPS: f64 = 100.0;
+const PROBE_GROWTH: f64 = 1.25;
+const PROBE_MAX_STEPS: usize = 16;
+const PROBE_S: f64 = 3.0;
+// A step whose wall time overruns its schedule by more than
+// `1 / PROBE_KEEP_UP` has fallen behind: it is saturated even if
+// nothing shed.
+const PROBE_KEEP_UP: f64 = 0.95;
+// Poisson bursts fill the admission queue now and then well below
+// capacity (a cold server's first requests are slow, too): a step sheds
+// in earnest only past this share of its requests.
+const PROBE_SHED_RATE: f64 = 0.01;
 const PHASE_S: f64 = 12.0;
-const CONNECTIONS: usize = 32;
 const TIMEOUT: Duration = Duration::from_secs(5);
 // "near" sits at the probed capacity itself: the baseline reliably
 // saturates there (0.9× can land under the knee when the probe reads a
@@ -81,13 +94,16 @@ const INGEST_RANK: usize = 32;
 const INGEST_RATE: f64 = 300.0;
 const INGEST_UPDATE_FRACTION: f64 = 0.2;
 const INGEST_PHASE_S: f64 = 8.0;
+// No more connections than the default admission queue holds, so the
+// backlog waits client-side and every planned update lands.
+const INGEST_CONNECTIONS: usize = 32;
 const DRIFT_SAMPLES: usize = 200;
 
 fn workload() -> Workload {
     Workload {
         mix: Mix { single: 0.05, multi: 0.05, topk: 0.9, update: 0.0 },
         degraded_fraction: 0.9,
-        // Mild skew: with s = 0.9 the 1024-column cache would absorb
+        // Mild skew: with s = 0.9 the 1024-answer cache would absorb
         // ~2/3 of a 60k-node universe's query mass and the baseline
         // would answer mostly from cache — hits are cheaper than any
         // evaluation, degraded included.  At s = 0.6 most queries miss,
@@ -116,13 +132,55 @@ fn adaptive_config() -> ServeConfig {
     }
 }
 
+/// Client connections: twice what the default server can hold (its
+/// workers plus its admission queue), so a saturated server sheds with
+/// `503` instead of the backlog waiting unseen in client threads.
+fn connections() -> usize {
+    let config = ServeConfig::default();
+    2 * (config.workers + config.queue_depth)
+}
+
 /// Starts a fresh server (cold cache, zeroed metrics), replays `plan`
 /// against it, and tears it down.
 fn run(model: &CsrPlusModel, config: ServeConfig, plan: &Plan, label: &str) -> PhaseReport {
     let handle = Server::start(model.clone(), 0, config).expect("server start");
-    let report = run_phase(&handle.addr().to_string(), plan, label, CONNECTIONS, TIMEOUT);
+    let report = run_phase(&handle.addr().to_string(), plan, label, connections(), TIMEOUT);
     handle.shutdown();
     report
+}
+
+/// The capacity probe: steps of rising offered load against the
+/// baseline server, stopped at the first step that sheds more than
+/// `PROBE_SHED_RATE` of its requests, fails one, or overruns its
+/// schedule by more than `1 / PROBE_KEEP_UP`.
+/// Returns the capacity — the goodput of the last step before that one
+/// (of the first step, if it already saturated) — and every step.
+fn probe_capacity(model: &CsrPlusModel, workload: &Workload) -> (f64, Vec<PhaseReport>) {
+    let mut steps: Vec<PhaseReport> = Vec::new();
+    let mut clear: Option<f64> = None;
+    let mut rate = PROBE_START_RPS;
+    for step in 0..PROBE_MAX_STEPS {
+        let plan = Plan::generate(workload, ArrivalProcess::Poisson { rate }, PROBE_S);
+        let report = run(model, baseline_config(), &plan, &format!("probe-{step}"));
+        let saturated = report.shed_rate() > PROBE_SHED_RATE
+            || report.errors > 0
+            || report.elapsed_s > report.duration_s / PROBE_KEEP_UP;
+        eprintln!(
+            "serve_load: probe {rate:.0} rps → goodput {:.0} rps, shed {}{}",
+            report.goodput_rps(),
+            report.shed,
+            if saturated { " (saturated)" } else { "" }
+        );
+        if !saturated {
+            clear = Some(report.goodput_rps());
+        }
+        steps.push(report);
+        if saturated {
+            break;
+        }
+        rate *= PROBE_GROWTH;
+    }
+    (clear.unwrap_or_else(|| steps[0].goodput_rps()).max(1.0), steps)
 }
 
 fn main() {
@@ -135,14 +193,8 @@ fn main() {
     let workload = workload();
 
     // Phase 1: capacity probe against the baseline server.
-    let probe_plan =
-        Plan::generate(&workload, ArrivalProcess::Poisson { rate: PROBE_RPS }, PROBE_S);
-    let probe = run(&model, baseline_config(), &probe_plan, "probe");
-    let capacity = probe.goodput_rps().max(1.0);
-    eprintln!(
-        "serve_load: capacity ≈ {capacity:.0} rps (probe shed rate {:.2})",
-        probe.shed_rate()
-    );
+    let (capacity, probe) = probe_capacity(&model, &workload);
+    eprintln!("serve_load: capacity ≈ {capacity:.0} rps after {} probe steps", probe.len());
 
     // Phases 2-4: under / near / over capacity, baseline vs adaptive on
     // identical seeded traffic.
@@ -185,7 +237,7 @@ fn main() {
     let handle = Server::start_ingesting(dynamic, 0, baseline_config(), IngestConfig::default())
         .expect("server start");
     let addr = handle.addr().to_string();
-    let ingest_report = run_phase(&addr, &ingest_plan, "ingest", CONNECTIONS, TIMEOUT);
+    let ingest_report = run_phase(&addr, &ingest_plan, "ingest", INGEST_CONNECTIONS, TIMEOUT);
     let metrics = http::request(&addr, "GET", "/metrics", None, TIMEOUT)
         .ok()
         .and_then(|(_, body)| json::parse(&body).ok());
@@ -255,10 +307,11 @@ fn main() {
         workload.mix.single, workload.mix.multi, workload.mix.topk, workload.mix.update
     );
     let _ = writeln!(json, "  \"degraded_fraction\": {},", workload.degraded_fraction);
-    let _ = writeln!(json, "  \"connections\": {CONNECTIONS},");
+    let _ = writeln!(json, "  \"connections\": {},", connections());
     let _ = writeln!(json, "  \"precompute_s\": {precompute_s:.3},");
     let _ = writeln!(json, "  \"capacity_rps\": {capacity:.1},");
-    let _ = writeln!(json, "  \"probe\": {},", probe.render_json());
+    let steps: Vec<String> = probe.iter().map(PhaseReport::render_json).collect();
+    let _ = writeln!(json, "  \"probe\": [\n    {}\n  ],", steps.join(",\n    "));
     let _ = writeln!(json, "  \"phases\": [");
     for (i, (name, factor, baseline, adaptive)) in phases.iter().enumerate() {
         let _ = writeln!(json, "    {{");

@@ -19,7 +19,7 @@ usage:
   csrplus exact      <graph.txt> --nodes 1,3 [--damping C] [--epsilon E]
   csrplus join       <model.csrp> --threshold T [--limit N]
   csrplus serve      <model.csrp> [--port P] [--workers N] [--batch B] [--linger-us U]
-                     [--cache COLS] [--timeout-ms MS]
+                     [--cache ANSWERS] [--timeout-ms MS]
                      [--max-requests N]
                      [--cache-admission] [--adaptive-linger]
                      [--degrade-rank R [--degrade-watermark D]]
@@ -27,8 +27,8 @@ usage:
                       [--ingest-checkpoint <ckpt.csrp>]]
                      [--shards host:port,host:port [--shard-timeout-ms MS] [--hedge-ms MS]]
   csrplus shard      <model.csrp> --rows LO:HI [--port P] [--workers N] [--batch B]
-                     [--linger-us U] [--cache COLS] [--timeout-ms MS] [--max-requests N]
-                     [--cache-admission] [--adaptive-linger]
+                     [--linger-us U] [--cache ANSWERS] [--timeout-ms MS]
+                     [--max-requests N] [--cache-admission] [--adaptive-linger]
   csrplus pack       <model.csrp> --out <packed.csrp>
   csrplus inspect    <model.csrp> [--verify]
 
@@ -120,7 +120,7 @@ pub enum Command {
         batch: usize,
         /// Micro-batch linger window in microseconds.
         linger_us: u64,
-        /// Column-cache capacity in columns (0 disables).
+        /// Answer-cache capacity in ranked top-k answers (0 disables).
         cache: usize,
         /// Per-request timeout in milliseconds.
         timeout_ms: u64,
@@ -132,7 +132,7 @@ pub enum Command {
         shard_timeout_ms: u64,
         /// Coordinator: straggler hedge delay in milliseconds (0 = off).
         hedge_ms: u64,
-        /// TinyLFU admission control in front of the column cache.
+        /// TinyLFU admission control in front of the answer cache.
         cache_admission: bool,
         /// Load-aware batch linger (scales with queue pressure).
         adaptive_linger: bool,
@@ -165,13 +165,13 @@ pub enum Command {
         batch: usize,
         /// Micro-batch linger window in microseconds.
         linger_us: u64,
-        /// Column-cache capacity in columns (0 disables).
+        /// Answer-cache capacity in ranked top-k answers (0 disables).
         cache: usize,
         /// Per-request timeout in milliseconds.
         timeout_ms: u64,
         /// Serve this many connections then exit.
         max_requests: Option<usize>,
-        /// TinyLFU admission control in front of the column cache.
+        /// TinyLFU admission control in front of the answer cache.
         cache_admission: bool,
         /// Load-aware batch linger (scales with queue pressure).
         adaptive_linger: bool,

@@ -106,16 +106,16 @@ fn percent_encoding_and_duplicate_params() {
 fn metrics_route_reports_counts() {
     let server = start_server();
 
-    let (code, _) = get(&server.addr, "/similarity?a=0&b=1");
+    let (code, _) = get(&server.addr, "/topk?node=0&k=2");
     assert_eq!(code, 200);
-    let (code, _) = get(&server.addr, "/similarity?a=0&b=1");
+    let (code, _) = get(&server.addr, "/topk?node=0&k=2");
     assert_eq!(code, 200);
 
     let (code, body) = get(&server.addr, "/metrics");
     assert_eq!(code, 200);
     assert!(body.contains("\"requests_total\":2"), "{body}");
-    assert!(body.contains("\"similarity\":{\"requests\":2"), "{body}");
-    // The repeat of the same query hits the column cache.
+    assert!(body.contains("\"topk\":{\"requests\":2"), "{body}");
+    // The repeat of the same query hits the answer cache.
     assert!(body.contains("\"hits\":1"), "{body}");
     assert!(body.contains("\"model_evaluations\":1"), "{body}");
     assert!(body.contains("\"latency_us\""), "{body}");

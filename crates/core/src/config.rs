@@ -2,8 +2,10 @@
 
 use crate::error::CoSimRankError;
 use crate::precision::Precision;
-use csrplus_linalg::lanczos::LanczosSvdConfig;
-use csrplus_linalg::randomized::RandomizedSvdConfig;
+use csrplus_graph::TransitionMatrix;
+use csrplus_linalg::lanczos::{lanczos_svd, LanczosSvdConfig};
+use csrplus_linalg::randomized::{randomized_svd, RandomizedSvdConfig};
+use csrplus_linalg::TruncatedSvd;
 
 /// Which truncated-SVD algorithm powers line 2 of Algorithm 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -108,6 +110,20 @@ impl CsrPlusConfig {
     /// doubles as the extra-step padding).
     pub fn lanczos_config(&self) -> LanczosSvdConfig {
         LanczosSvdConfig { rank: self.rank, extra_steps: self.oversample.max(8), seed: self.seed }
+    }
+
+    /// Line 2 of Algorithm 1: the rank-`r` truncated SVD of `t` by the
+    /// configured [`SvdBackend`].  Every factorisation — a precompute, a
+    /// dynamic model's first build and each of its refreshes — goes
+    /// through here, so one config always yields one model.
+    ///
+    /// # Errors
+    /// Propagates SVD failures.
+    pub fn factorise(&self, t: &TransitionMatrix) -> Result<TruncatedSvd, CoSimRankError> {
+        Ok(match self.backend {
+            SvdBackend::Randomized => randomized_svd(t, &self.svd_config())?,
+            SvdBackend::Lanczos => lanczos_svd(t, &self.lanczos_config())?,
+        })
     }
 }
 

@@ -24,7 +24,6 @@ use crate::config::CsrPlusConfig;
 use crate::error::CoSimRankError;
 use crate::model::CsrPlusModel;
 use csrplus_graph::{DiGraph, TransitionMatrix};
-use csrplus_linalg::randomized::randomized_svd;
 use csrplus_linalg::svd_update::rank_one_update;
 use csrplus_linalg::TruncatedSvd;
 
@@ -88,7 +87,7 @@ impl DynamicCsrPlus {
             list.sort_unstable();
         }
         let transition = TransitionMatrix::from_graph(graph);
-        let svd = randomized_svd(&transition, &config.base.svd_config())?;
+        let svd = config.base.factorise(&transition)?;
         let model = CsrPlusModel::from_svd(&config.base, &svd)?;
         Ok(DynamicCsrPlus { config, n, in_neighbors, svd, model, updates_since_refresh: 0 })
     }
@@ -156,7 +155,7 @@ impl DynamicCsrPlus {
     pub fn refresh(&mut self) -> Result<(), CoSimRankError> {
         let graph = self.to_graph();
         let transition = TransitionMatrix::from_graph(&graph);
-        self.svd = randomized_svd(&transition, &self.config.base.svd_config())?;
+        self.svd = self.config.base.factorise(&transition)?;
         self.model = CsrPlusModel::from_svd(&self.config.base, &self.svd)?;
         self.updates_since_refresh = 0;
         Ok(())
@@ -280,6 +279,39 @@ mod tests {
         assert!(dyn_model.insert_edge(0, 99).is_err());
         assert!(dyn_model.remove_edge(99, 0).is_err());
         assert!(!dyn_model.has_edge(0, 99));
+    }
+
+    /// Every field of `a` and `b`, compared bit for bit.
+    fn assert_bitwise_equal(a: &CsrPlusModel, b: &CsrPlusModel) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.config(), b.config());
+        assert_eq!(bits(a.sigma()), bits(b.sigma()));
+        assert_eq!(bits(a.u().as_slice()), bits(b.u().as_slice()));
+        assert_eq!(bits(a.z().as_slice()), bits(b.z().as_slice()));
+        assert_eq!(bits(a.p().as_slice()), bits(b.p().as_slice()));
+        assert_eq!(bits(a.h0().as_slice()), bits(b.h0().as_slice()));
+    }
+
+    #[test]
+    fn builds_and_refreshes_factorise_with_the_configured_backend() {
+        let g = csrplus_graph::generators::erdos_renyi(60, 240, 5).unwrap();
+        let base = CsrPlusConfig {
+            backend: crate::config::SvdBackend::Lanczos,
+            ..CsrPlusConfig::with_rank(6)
+        };
+        let cfg = DynamicConfig { base, refresh_interval: 1_000 };
+        let mut live = DynamicCsrPlus::new(&g, cfg).unwrap();
+        let precomputed = |graph: &DiGraph| {
+            CsrPlusModel::precompute(&TransitionMatrix::from_graph(graph), &base).unwrap()
+        };
+        assert_bitwise_equal(live.model(), &precomputed(&g));
+        let (x, y) = (0..60u32)
+            .flat_map(|x| (0..60u32).map(move |y| (x, y)))
+            .find(|&(x, y)| x != y && !live.has_edge(x, y))
+            .unwrap();
+        assert!(live.insert_edge(x, y).unwrap());
+        live.refresh().unwrap();
+        assert_bitwise_equal(live.model(), &precomputed(&live.to_graph()));
     }
 
     #[test]

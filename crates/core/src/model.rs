@@ -8,7 +8,6 @@ use crate::precision::Precision;
 use crate::topk::top_k_from_column;
 use csrplus_graph::partition::Reordering;
 use csrplus_graph::TransitionMatrix;
-use csrplus_linalg::randomized::randomized_svd;
 use csrplus_linalg::DenseMatrix;
 use csrplus_memtrack::MemoryBudget;
 use std::borrow::Cow;
@@ -169,12 +168,7 @@ impl CsrPlusModel {
 
         // Line 2: decompose Q at rank r, then run lines 3–6.
         let t0 = std::time::Instant::now();
-        let svd = match config.backend {
-            crate::config::SvdBackend::Randomized => randomized_svd(t, &config.svd_config())?,
-            crate::config::SvdBackend::Lanczos => {
-                csrplus_linalg::lanczos::lanczos_svd(t, &config.lanczos_config())?
-            }
-        };
+        let svd = config.factorise(t)?;
         let svd_time = t0.elapsed();
         let (model, mut stats) = Self::from_svd_with_stats(config, &svd)?;
         stats.svd = svd_time;

@@ -9,14 +9,14 @@
 //! unbatched path computes, so coalesced answers are **bitwise equal**
 //! to single-source ones.
 //!
-//! Flow per request: consult the [`ColumnCache`] for each distinct node;
-//! enqueue every miss at once and block on one reply channel until all
-//! have answered, so a multi-source request is one batch rather than
-//! `|Q|` round trips.  A dedicated batcher thread fires
-//! when either `max_batch` nodes are pending or the oldest has
-//! lingered for the configured window, deduplicates the node set, runs
-//! one [`CsrPlusModel::columns_into`] evaluation, feeds the cache, and
-//! scatters `Arc` columns back to every waiter.
+//! Flow per request: enqueue every distinct node at once and block on
+//! one reply channel until all have answered, so a multi-source request
+//! is one batch rather than `|Q|` round trips.  A dedicated batcher
+//! thread fires when either `max_batch` nodes are pending or the oldest
+//! has lingered for the configured window, deduplicates the node set,
+//! runs one [`CsrPlusModel::columns_into`] evaluation, and scatters `Arc`
+//! columns back to every waiter; it keeps none.  An evaluation that
+//! panics fails only its own waiters, with [`ColumnError::Panicked`].
 //!
 //! The batcher holds no model: every waiter carries the [`Snapshot`]
 //! its request loaded, batches are grouped by
@@ -24,12 +24,13 @@
 //! snapshot's model — so even requests coalesced across an epoch swap
 //! are each answered by exactly the model version they loaded.
 
-use crate::cache::{Column, ColumnCache};
+use crate::cache::Column;
 use crate::gauge::LoadGauge;
 use crate::metrics::Metrics;
 use crate::snapshot::Snapshot;
 use csrplus_core::{CsrPlusModel, Query};
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -44,6 +45,8 @@ pub enum ColumnError {
     ShuttingDown,
     /// The model evaluation itself failed (reported verbatim).
     Failed(String),
+    /// The evaluation of this request's batch panicked.
+    Panicked,
 }
 
 impl std::fmt::Display for ColumnError {
@@ -52,6 +55,7 @@ impl std::fmt::Display for ColumnError {
             ColumnError::Timeout => write!(f, "timed out waiting for column"),
             ColumnError::ShuttingDown => write!(f, "server is shutting down"),
             ColumnError::Failed(msg) => write!(f, "{msg}"),
+            ColumnError::Panicked => write!(f, "column evaluation panicked"),
         }
     }
 }
@@ -81,7 +85,6 @@ struct State {
 struct Shared {
     state: Mutex<State>,
     wake: Condvar,
-    cache: Arc<ColumnCache>,
     metrics: Arc<Metrics>,
     max_batch: usize,
     linger: Duration,
@@ -93,6 +96,9 @@ struct Shared {
     /// toward `linger` as the queue fills and collapses to zero when it
     /// is empty; `None` keeps the fixed `linger`.
     adaptive: Option<Arc<LoadGauge>>,
+    /// Test seam: the next evaluated group panics.
+    #[cfg(test)]
+    panic_next: std::sync::atomic::AtomicBool,
 }
 
 /// The load-aware linger window: an idle server answers immediately
@@ -134,7 +140,6 @@ impl Batcher {
     /// With an `adaptive` gauge the linger window is [`adaptive_linger`]
     /// of its current queue depth instead of the fixed `linger`.
     pub fn new(
-        cache: Arc<ColumnCache>,
         metrics: Arc<Metrics>,
         max_batch: usize,
         linger: Duration,
@@ -144,12 +149,13 @@ impl Batcher {
         let shared = Arc::new(Shared {
             state: Mutex::new(State { pending: Vec::new(), deadline: None, shutdown: false }),
             wake: Condvar::new(),
-            cache,
             metrics,
             max_batch: max_batch.max(1),
             linger,
             rows: rows.map(|(lo, hi)| lo..hi),
             adaptive,
+            #[cfg(test)]
+            panic_next: std::sync::atomic::AtomicBool::new(false),
         });
         let worker = {
             let shared = Arc::clone(&shared);
@@ -162,25 +168,23 @@ impl Batcher {
     }
 
     /// The columns `[S]_{*,nodes}` (in `nodes` order) against an
-    /// explicit, already-loaded snapshot, from cache or a (possibly
-    /// coalesced) model evaluation, waiting up to `timeout`.  The server
+    /// explicit, already-loaded snapshot, from one (possibly coalesced)
+    /// model evaluation, waiting up to `timeout`.  The server
     /// loads the handle once per request and passes the same snapshot
     /// here and to the renderer, so the whole response belongs to one
     /// epoch.
     ///
     /// `rank: Some(t)` evaluates only the leading `t` factor columns —
-    /// the pressure-degraded path — and deliberately bypasses the cache
-    /// in both directions: a truncated column must never be served to
-    /// (or pollute) full-rank requests.  A rank at or above the model's
-    /// is normalised back to the full-rank path, so over-asking degrades
-    /// nothing.
+    /// the pressure-degraded path, grouped apart from full-rank waiters.
+    /// A rank at or above the model's is normalised back to the
+    /// full-rank path, so over-asking degrades nothing.
     ///
-    /// Every node is bounds-checked before anything is enqueued.  Cache
-    /// hits are taken first; the distinct misses are enqueued together
-    /// under one lock with one wake, so a multi-source request becomes
-    /// one deduplicated multi-source evaluation (the paper's one pass
-    /// over `Z` for all of `Q`) instead of `|Q|` round trips, and every
-    /// reply is awaited against one deadline.
+    /// Every node is bounds-checked before anything is enqueued.  The
+    /// distinct nodes are enqueued together under one lock with one wake,
+    /// so a multi-source request becomes one deduplicated multi-source
+    /// evaluation (the paper's one pass over `Z` for all of `Q`) instead
+    /// of `|Q|` round trips, and every reply is awaited against one
+    /// deadline.
     pub fn columns(
         &self,
         snapshot: Arc<Snapshot>,
@@ -205,49 +209,34 @@ impl Batcher {
             .enumerate()
             .map(|(i, node)| nodes[..i].iter().position(|n| n == node).unwrap_or(i))
             .collect();
+        let distinct: Vec<usize> = (0..nodes.len()).filter(|&i| first[i] == i).collect();
         let mut slots: Vec<Option<Column>> = vec![None; nodes.len()];
-        let mut misses: Vec<usize> = Vec::new();
-        for i in (0..nodes.len()).filter(|&i| first[i] == i) {
-            // Truncated-rank columns are never cached, never served cached.
-            let hit = match rank {
-                None => self.shared.cache.get(nodes[i], snapshot.epoch()),
-                Some(_) => None,
-            };
-            match hit {
-                Some(column) => slots[i] = Some(column),
-                None => misses.push(i),
+        let (reply, receiver) = mpsc::channel();
+        {
+            let mut state = self.shared.state.lock().expect("batcher state poisoned");
+            if state.shutdown {
+                return Err(ColumnError::ShuttingDown);
             }
+            if state.pending.is_empty() {
+                state.deadline = Some(Instant::now() + self.shared.effective_linger());
+            }
+            state.pending.extend(distinct.iter().map(|&slot| Waiter {
+                node: nodes[slot],
+                slot,
+                rank,
+                snapshot: Arc::clone(&snapshot),
+                reply: reply.clone(),
+            }));
         }
-        if !misses.is_empty() {
-            let (reply, receiver) = mpsc::channel();
-            {
-                let mut state = self.shared.state.lock().expect("batcher state poisoned");
-                if state.shutdown {
-                    return Err(ColumnError::ShuttingDown);
-                }
-                if state.pending.is_empty() {
-                    state.deadline = Some(Instant::now() + self.shared.effective_linger());
-                }
-                state.pending.extend(misses.iter().map(|&slot| Waiter {
-                    node: nodes[slot],
-                    slot,
-                    rank,
-                    snapshot: Arc::clone(&snapshot),
-                    reply: reply.clone(),
-                }));
-            }
-            self.shared.wake.notify_one();
-            drop(reply);
-            for _ in &misses {
-                let wait =
-                    deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
-                match receiver.recv_timeout(wait) {
-                    Ok((slot, result)) => slots[slot] = Some(result?),
-                    Err(mpsc::RecvTimeoutError::Timeout) => return Err(ColumnError::Timeout),
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        return Err(ColumnError::ShuttingDown)
-                    }
-                }
+        self.shared.wake.notify_one();
+        drop(reply);
+        for _ in &distinct {
+            let wait =
+                deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
+            match receiver.recv_timeout(wait) {
+                Ok((slot, result)) => slots[slot] = Some(result?),
+                Err(mpsc::RecvTimeoutError::Timeout) => return Err(ColumnError::Timeout),
+                Err(mpsc::RecvTimeoutError::Disconnected) => return Err(ColumnError::ShuttingDown),
             }
         }
         Ok(first.iter().map(|&j| slots[j].clone().expect("every node answered")).collect())
@@ -260,6 +249,12 @@ impl Batcher {
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
         }
+    }
+
+    /// Makes the next evaluated group panic, to exercise containment.
+    #[cfg(test)]
+    pub(crate) fn panic_next_batch(&self) {
+        self.shared.panic_next.store(true, Ordering::SeqCst);
     }
 
     fn begin_shutdown(&self) {
@@ -316,6 +311,10 @@ fn batcher_loop(shared: &Shared) {
 /// current epoch, which takes exactly the pre-policy path; requests
 /// coalesced across an epoch swap split into one group per model
 /// version, so nobody is answered by a model they did not load.
+///
+/// A group whose evaluation panics answers its own waiters with
+/// [`ColumnError::Panicked`] and is counted; the other groups, and the
+/// batcher thread, carry on.
 fn evaluate(shared: &Shared, batch: Vec<Waiter>, scratch: &mut csrplus_core::DenseMatrix) {
     /// One `(epoch, truncated-rank)` evaluation group key.
     type GroupKey = (u64, Option<usize>);
@@ -328,27 +327,38 @@ fn evaluate(shared: &Shared, batch: Vec<Waiter>, scratch: &mut csrplus_core::Den
         }
     }
     for ((_, rank), group) in groups {
-        evaluate_group(shared, rank, group, scratch);
+        let run = AssertUnwindSafe(|| evaluate_group(shared, rank, &group, scratch));
+        if panic::catch_unwind(run).is_err() {
+            shared.metrics.batch_panics.fetch_add(1, Ordering::Relaxed);
+            // The unwound evaluation may have left the scratch block
+            // half-resized: start the next one from an empty block.
+            *scratch = csrplus_core::DenseMatrix::zeros(0, 0);
+            for waiter in &group {
+                let _ = waiter.reply.send((waiter.slot, Err(ColumnError::Panicked)));
+            }
+        }
     }
 }
 
 /// Runs one deduplicated multi-source evaluation (through the worker's
 /// reusable `scratch` block) and scatters the columns back to every
 /// waiter in the group.  `rank: Some(t)` evaluates the truncated-rank
-/// product and skips the cache (truncated columns are never cached).
-/// All waiters share one snapshot (the grouping key includes the
-/// epoch), so the first waiter's model is the group's model.
+/// product.  All waiters share one snapshot (the grouping key includes
+/// the epoch), so the first waiter's model is the group's model.
 fn evaluate_group(
     shared: &Shared,
     rank: Option<usize>,
-    batch: Vec<Waiter>,
+    batch: &[Waiter],
     scratch: &mut csrplus_core::DenseMatrix,
 ) {
-    let snapshot = Arc::clone(&batch[0].snapshot);
-    let model: &CsrPlusModel = snapshot.model();
+    #[cfg(test)]
+    if shared.panic_next.swap(false, Ordering::SeqCst) {
+        panic!("injected batch panic");
+    }
+    let model: &CsrPlusModel = batch[0].snapshot.model();
     let mut nodes: Vec<usize> = Vec::with_capacity(batch.len());
     let mut slot: Vec<usize> = Vec::with_capacity(batch.len());
-    for waiter in &batch {
+    for waiter in batch {
         match nodes.iter().position(|&n| n == waiter.node) {
             Some(i) => slot.push(i),
             None => {
@@ -358,9 +368,9 @@ fn evaluate_group(
         }
     }
     shared.metrics.batched_requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
-    // A shard evaluates (and caches) only its own row slice; each partial
-    // entry is the same dot product the full path computes, so slices
-    // concatenate bitwise into the single-process column.
+    // A shard evaluates only its own row slice; each partial entry is the
+    // same dot product the full path computes, so slices concatenate
+    // bitwise into the single-process column.
     let query = Query { sources: &nodes, rows: shared.rows.clone(), rank };
     match model.columns_into(&query, scratch) {
         Ok(columns) => {
@@ -372,11 +382,6 @@ fn evaluate_group(
             }
             let columns: Vec<Column> =
                 columns.into_iter().map(|c| Column::from(c.into_boxed_slice())).collect();
-            if rank.is_none() {
-                for (&node, column) in nodes.iter().zip(&columns) {
-                    shared.cache.insert(node, snapshot.epoch(), Arc::clone(column));
-                }
-            }
             for (waiter, &i) in batch.iter().zip(&slot) {
                 // A send fails only if the requester already timed out.
                 let _ = waiter.reply.send((waiter.slot, Ok(Arc::clone(&columns[i]))));
@@ -420,10 +425,9 @@ mod tests {
     }
 
     impl Rig {
-        fn new(m: CsrPlusModel, max_batch: usize, linger: Duration, cache_capacity: usize) -> Rig {
+        fn new(m: CsrPlusModel, max_batch: usize, linger: Duration) -> Rig {
             let metrics = Arc::new(Metrics::new());
-            let cache = Arc::new(ColumnCache::new(cache_capacity, 2, Arc::clone(&metrics)));
-            let b = Batcher::new(cache, Arc::clone(&metrics), max_batch, linger, None, None);
+            let b = Batcher::new(Arc::clone(&metrics), max_batch, linger, None, None);
             Rig { b, metrics, snapshot: Arc::new(Snapshot::new(0, Arc::new(m))) }
         }
 
@@ -447,7 +451,7 @@ mod tests {
 
     #[test]
     fn single_request_matches_single_source() {
-        let rig = Rig::new(fig1(), 4, Duration::from_micros(100), 0);
+        let rig = Rig::new(fig1(), 4, Duration::from_micros(100));
         let col = rig.column(1, None).unwrap();
         let expected = rig.model().single_source(1).unwrap();
         assert_eq!(&col[..], &expected[..], "batched column must be bitwise equal");
@@ -459,7 +463,7 @@ mod tests {
         // Long linger + max_batch = K: the batch fires exactly when the
         // K-th request arrives, so the count is deterministic.
         const K: usize = 4;
-        let rig = Arc::new(Rig::new(fig1(), K, Duration::from_secs(30), 0));
+        let rig = Arc::new(Rig::new(fig1(), K, Duration::from_secs(30)));
         let handles: Vec<_> = (0..K)
             .map(|node| {
                 let rig = Arc::clone(&rig);
@@ -480,7 +484,7 @@ mod tests {
 
     #[test]
     fn duplicate_nodes_deduplicate_within_a_batch() {
-        let rig = Arc::new(Rig::new(fig1(), 3, Duration::from_secs(30), 0));
+        let rig = Arc::new(Rig::new(fig1(), 3, Duration::from_secs(30)));
         let handles: Vec<_> = [2usize, 2, 2]
             .into_iter()
             .map(|node| {
@@ -498,18 +502,8 @@ mod tests {
     }
 
     #[test]
-    fn cache_hit_skips_the_batcher() {
-        let rig = Rig::new(fig1(), 4, Duration::from_micros(100), 8);
-        rig.column(1, None).unwrap();
-        rig.column(1, None).unwrap();
-        assert_eq!(rig.evaluations(), 1);
-        assert_eq!(rig.metrics.cache_hits.load(Ordering::Relaxed), 1);
-        assert_eq!(rig.metrics.cache_misses.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
     fn out_of_bounds_node_fails_fast() {
-        let rig = Rig::new(fig1(), 4, Duration::from_micros(100), 0);
+        let rig = Rig::new(fig1(), 4, Duration::from_micros(100));
         match rig.column(99, None) {
             Err(ColumnError::Failed(msg)) => assert!(msg.contains("99"), "{msg}"),
             other => panic!("expected Failed, got {other:?}"),
@@ -519,7 +513,7 @@ mod tests {
     #[test]
     fn linger_deadline_fires_partial_batches() {
         // max_batch 64 never fills; the 5 ms linger must fire the batch.
-        let rig = Rig::new(fig1(), 64, Duration::from_millis(5), 0);
+        let rig = Rig::new(fig1(), 64, Duration::from_millis(5));
         let col = rig.column(3, None).unwrap();
         assert_eq!(col.len(), 6);
         assert_eq!(rig.evaluations(), 1);
@@ -527,18 +521,18 @@ mod tests {
 
     #[test]
     fn shutdown_rejects_new_requests() {
-        let rig = Rig::new(fig1(), 4, Duration::from_micros(100), 0);
+        let rig = Rig::new(fig1(), 4, Duration::from_micros(100));
         rig.b.begin_shutdown();
         assert_eq!(rig.column(1, None).unwrap_err(), ColumnError::ShuttingDown);
     }
 
-    fn wide_rig(cache_capacity: usize) -> Rig {
-        Rig::new(wide(), 32, Duration::from_micros(200), cache_capacity)
+    fn wide_rig() -> Rig {
+        Rig::new(wide(), 32, Duration::from_micros(200))
     }
 
     #[test]
     fn duplicate_nodes_in_one_request_are_evaluated_once() {
-        let rig = wide_rig(0);
+        let rig = wide_rig();
         let nodes = [5, 7, 5, 5, 7, 2];
         let columns = rig.many(&nodes).unwrap();
         assert_eq!(rig.evaluations(), 1);
@@ -551,26 +545,8 @@ mod tests {
     }
 
     #[test]
-    fn a_partly_cached_list_evaluates_only_its_misses() {
-        let rig = wide_rig(64);
-        rig.many(&[1, 2]).unwrap();
-        assert_eq!(rig.evaluations(), 1);
-        let nodes = [4, 1, 6, 2];
-        let columns = rig.many(&nodes).unwrap();
-        assert_eq!(rig.evaluations(), 2);
-        assert_eq!(rig.metrics.batch_sizes.sum(), 2 + 2, "second pass held only 4 and 6");
-        assert_eq!(rig.metrics.cache_hits.load(Ordering::Relaxed), 2);
-        for (&q, col) in nodes.iter().zip(&columns) {
-            assert_eq!(&col[..], &rig.model().single_source(q).unwrap()[..], "node {q}");
-        }
-        // Fully cached: no evaluation at all.
-        rig.many(&[6, 4, 2, 1]).unwrap();
-        assert_eq!(rig.evaluations(), 2);
-    }
-
-    #[test]
     fn an_out_of_bounds_node_anywhere_fails_before_enqueueing() {
-        let rig = wide_rig(64);
+        let rig = wide_rig();
         for nodes in [&[40, 1, 2][..], &[1, 2, 99], &[1, usize::MAX, 2]] {
             match rig.many(nodes) {
                 Err(ColumnError::Failed(msg)) => assert!(msg.contains("out of"), "{msg}"),
@@ -580,7 +556,6 @@ mod tests {
         let metrics = &rig.metrics;
         assert_eq!(rig.evaluations(), 0, "nothing was enqueued");
         assert_eq!(metrics.batched_requests.load(Ordering::Relaxed), 0);
-        assert_eq!(metrics.cache_misses.load(Ordering::Relaxed), 0, "no cache lookups either");
         // The batcher keeps serving.
         let columns = rig.many(&[1, 2]).unwrap();
         assert_eq!(&columns[1][..], &rig.model().single_source(2).unwrap()[..]);
@@ -589,7 +564,7 @@ mod tests {
 
     #[test]
     fn a_many_node_request_after_shutdown_is_refused() {
-        let rig = wide_rig(64);
+        let rig = wide_rig();
         rig.b.begin_shutdown();
         assert_eq!(rig.many(&[1, 2]).unwrap_err(), ColumnError::ShuttingDown);
         assert_eq!(rig.metrics.batched_requests.load(Ordering::Relaxed), 0);
@@ -609,11 +584,11 @@ mod tests {
     #[test]
     fn concurrent_submit_storm_answers_every_waiter_correctly() {
         // Hammer the batcher from many threads at once with tiny batches
-        // and a tiny cache so batching, eviction, and dedup all churn
-        // concurrently; every reply must still be the exact column.
+        // so batching and dedup churn concurrently; every reply must
+        // still be the exact column.
         const THREADS: usize = 16;
         const REQUESTS: usize = 25;
-        let rig = Arc::new(Rig::new(fig1(), 3, Duration::from_micros(50), 2));
+        let rig = Arc::new(Rig::new(fig1(), 3, Duration::from_micros(50)));
         let m = rig.model();
         let expected: Vec<Vec<f64>> = (0..m.n()).map(|q| m.single_source(q).unwrap()).collect();
         let handles: Vec<_> = (0..THREADS)
@@ -632,20 +607,17 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let answered = rig.metrics.cache_hits.load(Ordering::Relaxed)
-            + rig.metrics.batched_requests.load(Ordering::Relaxed);
+        let answered = rig.metrics.batched_requests.load(Ordering::Relaxed);
         assert_eq!(answered, (THREADS * REQUESTS) as u64, "every request answered exactly once");
     }
 
     #[test]
-    fn degraded_rank_bypasses_the_cache_both_ways() {
-        let rig = Rig::new(fig1(), 4, Duration::from_micros(100), 8);
-        // Warm the cache with the full-rank column.
+    fn degraded_rank_evaluates_the_truncated_product() {
+        let rig = Rig::new(fig1(), 4, Duration::from_micros(100));
         let full = rig.column(1, None).unwrap();
         assert_eq!(rig.evaluations(), 1);
-        // A degraded request must not be served the cached full column…
         let truncated = rig.column(1, Some(1)).unwrap();
-        assert_eq!(rig.evaluations(), 2, "cache read bypassed");
+        assert_eq!(rig.evaluations(), 2);
         assert_ne!(&full[..], &truncated[..], "rank-1 column differs from rank-3");
         let mut scratch = csrplus_core::DenseMatrix::zeros(0, 0);
         let plan = Query { rank: Some(1), ..Query::new(&[1]) };
@@ -653,23 +625,21 @@ mod tests {
         assert_eq!(&truncated[..], &expected[0][..], "truncated column bitwise exact");
         assert_eq!(rig.metrics.degraded_requests.load(Ordering::Relaxed), 1);
         assert_eq!(rig.metrics.served_rank.count(), 1);
-        // …and must not have displaced or overwritten the cached one.
         let again = rig.column(1, None).unwrap();
-        assert_eq!(rig.evaluations(), 2, "full column still cached");
-        assert_eq!(&again[..], &full[..]);
+        assert_eq!(&again[..], &full[..], "the full-rank path is unchanged");
     }
 
     #[test]
     fn rank_at_or_above_the_models_is_the_full_rank_path() {
-        let rig = Rig::new(fig1(), 4, Duration::from_micros(100), 8);
+        let rig = Rig::new(fig1(), 4, Duration::from_micros(100));
         let full = rig.column(2, None).unwrap();
-        // Over-asking normalises to None: served from cache, not degraded.
+        // Over-asking normalises to None: the full-rank path, not degraded.
         let over = rig.column(2, Some(3)).unwrap();
         let way_over = rig.column(2, Some(usize::MAX)).unwrap();
         assert_eq!(&over[..], &full[..]);
         assert_eq!(&way_over[..], &full[..]);
-        assert_eq!(rig.evaluations(), 1, "cache served both");
         assert_eq!(rig.metrics.degraded_requests.load(Ordering::Relaxed), 0);
+        assert_eq!(rig.metrics.served_rank.count(), 0);
     }
 
     #[test]
@@ -677,7 +647,7 @@ mod tests {
         // Two waiters holding different snapshots land in one linger
         // window; the batcher must answer each against its own model —
         // two groups, two evaluations — even though the node is shared.
-        let rig = Arc::new(Rig::new(fig1(), 2, Duration::from_secs(30), 8));
+        let rig = Arc::new(Rig::new(fig1(), 2, Duration::from_secs(30)));
         let old = Arc::clone(&rig.snapshot);
         let new = Arc::new(Snapshot::new(1, Arc::clone(old.model_arc())));
         let handles: Vec<_> = [old, new]
@@ -693,16 +663,13 @@ mod tests {
         for col in cols {
             assert_eq!(&col[..], &expected[..]);
         }
-        // Both epochs' columns were cached under their own tags: an
-        // epoch-1 read hits without touching the epoch-0 entry.
-        assert!(rig.b.shared.cache.get(1, 1).is_some());
     }
 
     #[test]
     fn mixed_rank_batches_group_by_rank() {
         // One batch holding full-rank and two distinct truncated ranks:
         // three groups, three evaluations, every waiter answered right.
-        let rig = Arc::new(Rig::new(fig1(), 6, Duration::from_secs(30), 0));
+        let rig = Arc::new(Rig::new(fig1(), 6, Duration::from_secs(30)));
         let requests: Vec<(usize, Option<usize>)> =
             vec![(0, None), (1, Some(1)), (2, Some(2)), (3, None), (1, Some(2)), (4, Some(1))];
         let handles: Vec<_> = requests
@@ -722,5 +689,20 @@ mod tests {
         }
         assert_eq!(rig.evaluations(), 3, "one pass per rank group");
         assert_eq!(rig.metrics.degraded_requests.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn a_panicking_batch_fails_only_its_waiters_and_the_batcher_carries_on() {
+        let rig = Rig::new(fig1(), 4, Duration::from_micros(100));
+        rig.b.panic_next_batch();
+        assert_eq!(rig.many(&[1, 3]).unwrap_err(), ColumnError::Panicked);
+        assert_eq!(rig.metrics.batch_panics.load(Ordering::Relaxed), 1);
+        assert_eq!(rig.evaluations(), 0, "the panicked batch evaluated nothing");
+        // The same thread answers the next request, exactly.
+        let columns = rig.many(&[3, 1]).unwrap();
+        assert_eq!(&columns[0][..], &rig.model().single_source(3).unwrap()[..]);
+        assert_eq!(&columns[1][..], &rig.model().single_source(1).unwrap()[..]);
+        assert_eq!(rig.evaluations(), 1);
+        assert_eq!(rig.metrics.batch_panics.load(Ordering::Relaxed), 1);
     }
 }

@@ -5,15 +5,16 @@
 //!
 //! Three gather strategies, one per route:
 //!
-//! * `/query` (and cold `/similarity`) **scatters** to every shard and
-//!   reassembles full columns, scattering each shard's internal-row
-//!   slice back to original node ids through the model permutation;
+//! * `/query` **scatters** to every shard and reassembles full columns,
+//!   scattering each shard's internal-row slice back to original node
+//!   ids through the model permutation;
 //! * `/topk` walks shards in **descending split-bound order** and merges
 //!   per-shard top-k heaps, *skipping* (never contacting) any shard
 //!   whose Cauchy–Schwarz bound proves it cannot displace the current
-//!   k-th best — on clustered reorderings most shards are never asked;
-//! * `/similarity` with a cached column reads the row directly; a cold
-//!   hit fetches only the one shard that owns row `a`.
+//!   k-th best — on clustered reorderings most shards are never asked.
+//!   The server caches the merged answer by `(node, k)` as it caches a
+//!   local one, so a repeat is answered without contacting any shard;
+//! * `/similarity` always asks the one shard that owns row `a`.
 //!
 //! Every shard request is budgeted (`shard_timeout`) and **hedged**: if
 //! a shard has not answered within the hedge delay a second identical
@@ -26,13 +27,13 @@
 //! shard count — including the 1-shard degenerate case — produces
 //! byte-identical response bodies.
 
-use crate::cache::{Column, ColumnCache};
+use crate::cache::Column;
 use crate::http;
 use crate::json::{self, Json, Value};
 use crate::metrics::Histogram;
 use crate::snapshot::{Snapshot, SnapshotHandle};
 use crate::wire;
-use csrplus_core::topk::{select_top_k, top_k_from_column};
+use csrplus_core::topk::select_top_k;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -109,8 +110,8 @@ impl GatherMetrics {
     }
 }
 
-/// The coordinator engine: shard directory, bound table, column cache,
-/// and gather metrics.
+/// The coordinator engine: shard directory, bound table and gather
+/// metrics.
 ///
 /// The coordinator is snapshot-scoped like the local engine: every
 /// gather method takes the request's [`Snapshot`] and answers entirely
@@ -121,7 +122,6 @@ impl GatherMetrics {
 pub struct Coordinator {
     shards: Vec<ShardSpec>,
     bounds: Mutex<Option<EpochBounds>>,
-    cache: Arc<ColumnCache>,
     timeout: Duration,
     hedge: Duration,
     /// Scatter-gather metrics (also rendered under `/metrics`).
@@ -148,7 +148,6 @@ impl Coordinator {
         shard_addrs: &[String],
         timeout: Duration,
         hedge: Duration,
-        cache: Arc<ColumnCache>,
     ) -> Result<Coordinator, String> {
         if shard_addrs.is_empty() {
             return Err("coordinator needs at least one shard address".to_string());
@@ -212,7 +211,7 @@ impl Coordinator {
         }
 
         let metrics = GatherMetrics::new(shards.len());
-        Ok(Coordinator { shards, bounds: Mutex::new(None), cache, timeout, hedge, metrics })
+        Ok(Coordinator { shards, bounds: Mutex::new(None), timeout, hedge, metrics })
     }
 
     /// The bound table for `snapshot`, memoised by epoch: derived on the
@@ -265,12 +264,9 @@ impl Coordinator {
         }
     }
 
-    /// Full similarity columns for `nodes`, in original-id space:
-    /// cache hits are returned as-is, misses are gathered from every
-    /// shard in one scatter and reassembled.  A rank truncation `Some(t)`
-    /// forwards `rank=t` to every shard and bypasses the column cache in
-    /// both directions — truncated columns are never cached and never
-    /// served from cache.
+    /// Full similarity columns for `nodes`, in original-id space, gathered
+    /// from every shard in one scatter and reassembled.  A rank
+    /// truncation `Some(t)` forwards `rank=t` to every shard.
     pub fn columns(
         &self,
         snapshot: &Snapshot,
@@ -285,63 +281,42 @@ impl Coordinator {
                 return Err((400, e.to_string()));
             }
         }
-        let mut out: Vec<Option<Column>> = match rank {
-            None => nodes.iter().map(|&q| self.cache.get(q, snapshot.epoch())).collect(),
-            Some(_) => vec![None; nodes.len()],
-        };
-        let mut missing: Vec<usize> = Vec::new();
-        for (&q, slot) in nodes.iter().zip(&out) {
-            if slot.is_none() && !missing.contains(&q) {
-                missing.push(q);
+        let mut distinct: Vec<usize> = Vec::new();
+        for &q in nodes {
+            if !distinct.contains(&q) {
+                distinct.push(q);
             }
         }
-        if !missing.is_empty() {
-            self.metrics.scatter_requests.fetch_add(1, Ordering::Relaxed);
-            self.metrics.scatter_fanout.observe(self.shards.len() as u64);
-            let list = missing.iter().map(usize::to_string).collect::<Vec<_>>().join("%2C");
-            let path = format!("/shard/columns?nodes={list}{}", rank_suffix(rank));
-            let partials = self.scatter_all(&path)?;
-            let merge_start = Instant::now();
-            let mut full: Vec<Vec<f64>> = missing.iter().map(|_| vec![0.0; n]).collect();
-            for (shard, body) in self.shards.iter().zip(&partials) {
-                let cols = strings(body, "cols")?;
-                if cols.len() != missing.len() {
-                    return Err((
-                        502,
-                        format!(
-                            "shard {} answered {} columns, wanted {}",
-                            shard.addr,
-                            cols.len(),
-                            missing.len()
-                        ),
-                    ));
+        self.metrics.scatter_requests.fetch_add(1, Ordering::Relaxed);
+        self.metrics.scatter_fanout.observe(self.shards.len() as u64);
+        let list = distinct.iter().map(usize::to_string).collect::<Vec<_>>().join("%2C");
+        let path = format!("/shard/columns?nodes={list}{}", rank_suffix(rank));
+        let partials = self.scatter_all(&path)?;
+        let merge_start = Instant::now();
+        let mut full: Vec<Vec<f64>> = distinct.iter().map(|_| vec![0.0; n]).collect();
+        for (shard, body) in self.shards.iter().zip(&partials) {
+            let cols = strings(body, "cols")?;
+            if cols.len() != distinct.len() {
+                let (addr, got, want) = (&shard.addr, cols.len(), distinct.len());
+                return Err((502, format!("shard {addr} answered {got} columns, wanted {want}")));
+            }
+            for (dst, hex) in full.iter_mut().zip(&cols) {
+                let part = wire::decode_f64s(hex).map_err(|e| (502, e))?;
+                if part.len() != shard.hi - shard.lo {
+                    return Err((502, format!("shard {} column length mismatch", shard.addr)));
                 }
-                for (dst, hex) in full.iter_mut().zip(&cols) {
-                    let part = wire::decode_f64s(hex).map_err(|e| (502, e))?;
-                    if part.len() != shard.hi - shard.lo {
-                        return Err((502, format!("shard {} column length mismatch", shard.addr)));
-                    }
-                    // Internal row → original node id: the gather is
-                    // where the reordering permutation unwinds.
-                    for (row, v) in (shard.lo..shard.hi).zip(part) {
-                        dst[model.original_id(row)] = v;
-                    }
+                // Internal row → original node id: the gather is where the
+                // reordering permutation unwinds.
+                for (row, v) in (shard.lo..shard.hi).zip(part) {
+                    dst[model.original_id(row)] = v;
                 }
             }
-            for (q, col) in missing.iter().zip(full) {
-                let col: Column = Column::from(col.into_boxed_slice());
-                if rank.is_none() {
-                    self.cache.insert(*q, snapshot.epoch(), Arc::clone(&col));
-                }
-                for (slot, &want) in out.iter_mut().zip(nodes) {
-                    if want == *q && slot.is_none() {
-                        *slot = Some(Arc::clone(&col));
-                    }
-                }
-            }
-            self.metrics.gather_merge_us.observe_duration(merge_start.elapsed());
         }
-        Ok(out.into_iter().map(|c| c.expect("every node resolved")).collect())
+        let full: Vec<Column> = full.into_iter().map(Column::from).collect();
+        self.metrics.gather_merge_us.observe_duration(merge_start.elapsed());
+        // Repeated nodes share the one gathered column.
+        let at = |q: &usize| distinct.iter().position(|d| d == q).expect("every node gathered");
+        Ok(nodes.iter().map(|q| Arc::clone(&full[at(q)])).collect())
     }
 
     /// Fans `path` out to every shard concurrently (each hedged
@@ -358,9 +333,8 @@ impl Coordinator {
         results.into_iter().collect()
     }
 
-    /// `[S]_{a,b}` — from a cached column when possible, otherwise from
-    /// the single shard owning internal row `a` (no full gather).  A rank
-    /// truncation `Some(t)` bypasses the cache and forwards `rank=t`.
+    /// `[S]_{a,b}`, from the single shard owning internal row `a` (no
+    /// full gather).  A rank truncation `Some(t)` forwards `rank=t`.
     pub fn similarity(
         &self,
         snapshot: &Snapshot,
@@ -374,11 +348,6 @@ impl Coordinator {
             if node >= n {
                 let e = csrplus_core::CoSimRankError::QueryOutOfBounds { node, n };
                 return Err((400, e.to_string()));
-            }
-        }
-        if rank.is_none() {
-            if let Some(col) = self.cache.get(b, snapshot.epoch()) {
-                return Ok(col[a]);
             }
         }
         let row = model.internal_row(a);
@@ -404,8 +373,8 @@ impl Coordinator {
     /// request (bound < kth ⟹ every score it holds < kth, so not even
     /// the id tie-break can displace the current set).
     ///
-    /// A rank truncation `Some(t)` bypasses the cache, forwards `rank=t`
-    /// to every shard contacted, and disables bound-based shard skipping
+    /// A rank truncation `Some(t)` forwards `rank=t` to every shard
+    /// contacted, and disables bound-based shard skipping
     /// — the split bounds summarise full-rank scores, so under truncation
     /// they are used only to order shard visits, never to prove one
     /// irrelevant.
@@ -421,11 +390,6 @@ impl Coordinator {
         if q >= n {
             let e = csrplus_core::CoSimRankError::QueryOutOfBounds { node: q, n };
             return Err((400, e.to_string()));
-        }
-        if rank.is_none() {
-            if let Some(col) = self.cache.get(q, snapshot.epoch()) {
-                return Ok(top_k_from_column(&col, q, k));
-            }
         }
         if k == 0 {
             return Ok(Vec::new());

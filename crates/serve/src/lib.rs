@@ -15,8 +15,9 @@
 //!   requests (a multi-node `/query` enqueues all its nodes at once) into
 //!   one multi-source `[S]_{*,Q}` evaluation and scatters the columns
 //!   back to the waiting responders;
-//! * [`cache`] — a **sharded LRU column cache** keyed by node id,
-//!   consulted before batching;
+//! * [`cache`] — a **sharded LRU answer cache** of ranked top-k lists
+//!   keyed by `(node, k)`: a repeated `/topk` skips the evaluation and
+//!   the selection;
 //! * [`metrics`] — counters, per-route latency histograms and the batch
 //!   size distribution, exposed at `GET /metrics`.
 //!

@@ -183,13 +183,15 @@ pub struct Metrics {
     /// Column requests answered by the batcher (including coalesced and
     /// deduplicated ones).
     pub batched_requests: AtomicU64,
+    /// Batch evaluation groups that panicked (their waiters got `500`).
+    pub batch_panics: AtomicU64,
     /// Distribution of deduplicated batch sizes (|Q| per evaluation).
     pub batch_sizes: Histogram,
-    /// Column-cache hits.
+    /// Answer-cache hits.
     pub cache_hits: AtomicU64,
-    /// Column-cache misses.
+    /// Answer-cache misses.
     pub cache_misses: AtomicU64,
-    /// Column-cache evictions.
+    /// Answer-cache evictions.
     pub cache_evictions: AtomicU64,
     /// Inserts the TinyLFU admission filter refused.
     pub cache_admission_rejects: AtomicU64,
@@ -298,7 +300,8 @@ impl Metrics {
         ]);
         out.key("batcher").open(b'{');
         out.key("model_evaluations").value(load(&self.model_evaluations));
-        out.key("batched_requests").value(load(&self.batched_requests)).key("batch_sizes");
+        out.key("batched_requests").value(load(&self.batched_requests));
+        out.key("panics").value(load(&self.batch_panics)).key("batch_sizes");
         self.batch_sizes.write_json(out);
         out.close(b'}').key("cache").counts(&[
             ("hits", load(&self.cache_hits)),

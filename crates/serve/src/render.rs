@@ -7,7 +7,7 @@
 //! against the `format!`/`join` renderers kept as the `#[cfg(test)]`
 //! oracle.
 
-use crate::cache::ColumnCache;
+use crate::cache::AnswerCache;
 use crate::coordinator::GatherMetrics;
 use crate::json::Json;
 use crate::metrics::Metrics;
@@ -89,7 +89,7 @@ pub fn served_rank(body: String, t: usize) -> String {
 /// statistics and (on a coordinator) the gather block appended.
 pub fn metrics(
     counters: &Metrics,
-    cache: &ColumnCache,
+    cache: &AnswerCache,
     coordinator: Option<&GatherMetrics>,
 ) -> String {
     let mut out = Json::object(4096);
@@ -290,7 +290,7 @@ mod tests {
     /// `format!`/`join` section renderers wrote it.
     #[test]
     fn metrics_bytes_are_pinned() {
-        use crate::cache::Column;
+        use crate::cache::Answer;
         use crate::metrics::Route;
         use std::sync::atomic::Ordering::Relaxed;
         use std::sync::Arc;
@@ -306,6 +306,7 @@ mod tests {
             (&m.queue_rejections, 3),
             (&m.model_evaluations, 4),
             (&m.batched_requests, 9),
+            (&m.batch_panics, 5),
             (&m.cache_evictions, 7),
             (&m.shed_total, 3),
             (&m.shed_last_retry_after_s, 2),
@@ -325,16 +326,16 @@ mod tests {
         }
         m.served_rank.observe(4);
         m.record_boot(Duration::from_micros(1234), true, true);
-        let cache = ColumnCache::with_admission(2, 2, Arc::new(Metrics::new()), true);
-        let col = |v: f64| -> Column { Arc::from(vec![v].into_boxed_slice()) };
-        cache.insert(0, 0, col(0.0));
-        cache.insert(1, 0, col(1.0));
-        cache.get(0, 0);
-        cache.get(3, 0);
-        cache.get(1, 1);
-        cache.insert(2, 0, col(2.0));
-        cache.get(2, 0);
-        cache.insert(4, 0, col(4.0));
+        let cache = AnswerCache::with_admission(2, 2, Arc::new(Metrics::new()), true);
+        let top = |v: f64| -> Answer { Arc::from(vec![(9, v)]) };
+        cache.insert((0, 10), 0, top(0.0));
+        cache.insert((1, 10), 0, top(1.0));
+        cache.get((0, 10), 0);
+        cache.get((3, 10), 0);
+        cache.get((1, 10), 1);
+        cache.insert((2, 10), 0, top(2.0));
+        cache.get((2, 10), 0);
+        cache.insert((4, 10), 0, top(4.0));
         let gather = GatherMetrics::new(2);
         gather.scatter_requests.store(4, Relaxed);
         gather.scatter_skipped_shards.store(1, Relaxed);
@@ -358,7 +359,8 @@ mod tests {
             "buckets\":{}}},\"edges\":{\"requests\":1,\"latency_us\":{\"count\":1,\"sum\":70000,\"p50",
             "\":131072,\"p99\":131072,\"p999\":131072,\"buckets\":{\"le_131072\":1}}}},\"errors\":{\"",
             "client\":2,\"io\":1,\"queue_rejections\":3},\"batcher\":{\"model_evaluations\":4,\"batch",
-            "ed_requests\":9,\"batch_sizes\":{\"count\":2,\"sum\":9,\"p50\":1,\"p99\":8,\"p999\":8,\"",
+            "ed_requests\":9,\"panics\":5,\"batch_sizes\":{\"count\":2,\"sum\":9,\"p50\":1,\"p99",
+            "\":8,\"p999\":8,\"",
             "buckets\":{\"le_1\":1,\"le_8\":1}}},\"cache\":{\"hits\":0,\"misses\":0,\"evictions\":7,\"",
             "admission_rejects\":0},\"shed\":{\"total\":3,\"last_retry_after_s\":2},\"shed_clients\":",
             "{\"10.0.0.1\":1,\"10.0.0.2\":2,\"a\\\"b\\\\c\\u0009d\":1},\"degraded\":{\"requests\":1,\"",

@@ -1,7 +1,12 @@
 //! The pooled server: accept loop → bounded admission queue → worker
-//! pool, with the micro-[`batcher`](crate::batcher) and the column
+//! pool, with the micro-[`batcher`](crate::batcher) and the answer
 //! [`cache`](crate::cache) behind the query routes and [`Metrics`] at
 //! `GET /metrics`.
+//!
+//! Each route computes only what it returns: `/similarity` one `O(r)`
+//! dot product; `/topk` and `/shard/topk` a cached ranked list, or on a
+//! miss one batched column and a selection; `/query` and
+//! `/shard/columns` the batched columns they render.
 //!
 //! Routes: `/health`, `/similarity`, `/topk`, `/query` and `/metrics`
 //! (plus the `/shard/*` routes and `POST /edges` in their roles).  Every
@@ -17,7 +22,7 @@
 //! static-model server.
 
 use crate::batcher::{Batcher, ColumnError};
-use crate::cache::{Column, ColumnCache};
+use crate::cache::{AnswerCache, Column};
 use crate::coordinator::Coordinator;
 use crate::gauge::LoadGauge;
 use crate::http::{self, Target};
@@ -28,7 +33,7 @@ use crate::render;
 use crate::snapshot::{Snapshot, SnapshotHandle};
 use csrplus_core::dynamic::DynamicCsrPlus;
 use csrplus_core::topk::{select_top_k, top_k_from_column};
-use csrplus_core::CsrPlusModel;
+use csrplus_core::{CsrPlusModel, DenseMatrix, Query};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -57,9 +62,10 @@ pub struct ServeConfig {
     pub max_batch: usize,
     /// How long the first request of a batch waits for company.
     pub linger: Duration,
-    /// Column-cache capacity in columns (`0` disables the cache).
+    /// Answer-cache capacity in ranked top-k answers of at most
+    /// [`MAX_CACHED_ANSWER`](crate::cache::MAX_CACHED_ANSWER) pairs (`0` disables the cache).
     pub cache_capacity: usize,
-    /// Column-cache shard count.
+    /// Answer-cache shard count.
     pub cache_shards: usize,
     /// Per-request budget: socket reads/writes and column waits.
     pub timeout: Duration,
@@ -76,7 +82,7 @@ pub struct ServeConfig {
     /// Coordinator: delay before hedging a straggling shard request
     /// with a second identical one (zero disables hedging).
     pub hedge: Duration,
-    /// TinyLFU admission control in front of the column cache: an
+    /// TinyLFU admission control in front of the answer cache: an
     /// evicting insert must beat the LRU victim on estimated frequency
     /// or it is rejected.  Off ⇒ plain LRU (today's behaviour).
     pub cache_admission: bool,
@@ -138,7 +144,7 @@ struct Ctx {
     handle: Arc<SnapshotHandle>,
     engine: Engine,
     metrics: Arc<Metrics>,
-    cache: Arc<ColumnCache>,
+    answers: AnswerCache,
     gauge: Arc<LoadGauge>,
     timeout: Duration,
     /// Set in shard mode: the internal row range this server owns.
@@ -194,12 +200,12 @@ impl Server {
         let metrics = Arc::new(Metrics::new());
         let handle = Arc::new(handle);
         let gauge = Arc::new(LoadGauge::new(config.queue_depth));
-        let cache = Arc::new(ColumnCache::with_admission(
+        let answers = AnswerCache::with_admission(
             config.cache_capacity,
             config.cache_shards,
             Arc::clone(&metrics),
             config.cache_admission,
-        ));
+        );
         let boot_n = handle.load().model().n();
         if let Some((lo, hi)) = config.shard_rows {
             if lo > hi || hi > boot_n {
@@ -210,7 +216,6 @@ impl Server {
         }
         let engine = if config.shards.is_empty() {
             Engine::Local(Batcher::new(
-                Arc::clone(&cache),
                 Arc::clone(&metrics),
                 config.max_batch,
                 config.linger,
@@ -224,7 +229,6 @@ impl Server {
                     &config.shards,
                     config.shard_timeout,
                     config.hedge,
-                    Arc::clone(&cache),
                 )
                 .map_err(std::io::Error::other)?,
             ))
@@ -236,7 +240,7 @@ impl Server {
             handle,
             engine,
             metrics: Arc::clone(&metrics),
-            cache,
+            answers,
             gauge: Arc::clone(&gauge),
             timeout: config.timeout,
             shard_rows: config.shard_rows,
@@ -481,6 +485,7 @@ fn status(e: ColumnError) -> (u16, String) {
     match e {
         ColumnError::Timeout => (408, e.to_string()),
         ColumnError::ShuttingDown => (503, e.to_string()),
+        ColumnError::Panicked => (500, e.to_string()),
         ColumnError::Failed(msg) => (400, msg),
     }
 }
@@ -575,9 +580,10 @@ fn answer(
         }
         None => None,
     };
-    if let (Some(t), Engine::Sharded(_)) = (degrade, &ctx.engine) {
-        // Local degraded requests are counted by the batcher; the
-        // coordinator's own batcher never runs, so count here.
+    // Local degraded columns are counted by the batcher; a coordinator's
+    // never runs and local `/similarity` builds none, so count those here.
+    let unbatched = matches!(ctx.engine, Engine::Sharded(_)) || matches!(route, Route::Similarity);
+    if let (Some(t), true) = (degrade, unbatched) {
         ctx.metrics.degraded_requests.fetch_add(1, Ordering::Relaxed);
         ctx.metrics.served_rank.observe(t as u64);
     }
@@ -621,7 +627,7 @@ fn answer(
                 Engine::Sharded(coord) => Some(&coord.metrics),
                 Engine::Local(_) => None,
             };
-            Ok(render::metrics(&ctx.metrics, &ctx.cache, coordinator))
+            Ok(render::metrics(&ctx.metrics, &ctx.answers, coordinator))
         }
         Route::Similarity => {
             let a = parse_usize(target.require("a")?, "a")?;
@@ -630,27 +636,33 @@ fn answer(
                 let s = coord.similarity(snapshot, a, b, degrade)?;
                 return Ok(mark(render::similarity(a, b, s)));
             }
-            if a >= model.n() {
-                let e = csrplus_core::CoSimRankError::QueryOutOfBounds { node: a, n: model.n() };
-                return Err((400, e.to_string()));
-            }
-            // `[S]_{a,b}` is row `a` of column `b`: the batched/cached
-            // column entry is bitwise equal to `model.similarity(a, b)`.
-            let col = column(b, degrade)?;
-            Ok(mark(render::similarity(a, b, col[a])))
+            // `[S]_{a,b}` is one dot product, bitwise equal to row `a` of
+            // column `b`; at rank `t` it is the one-row slice of the
+            // truncated column.  No column is built.
+            let s = match degrade {
+                Some(t) if a < model.n() => {
+                    let row = model.internal_row(a);
+                    let query = Query { sources: &[b], rows: Some(row..row + 1), rank: Some(t) };
+                    model.columns_into(&query, &mut DenseMatrix::zeros(0, 0)).map(|c| c[0][0])
+                }
+                // Full rank, or an `a` out of range: the model's own error.
+                _ => model.similarity(a, b),
+            };
+            Ok(mark(render::similarity(a, b, s.map_err(|e| (400, e.to_string()))?)))
         }
         Route::TopK => {
             let node = parse_usize(target.require("node")?, "node")?;
-            let k = match target.get("k") {
-                Some(v) => parse_usize(v, "k")?,
-                None => 10,
+            let k = target.get("k").map_or(Ok(10), |v| parse_usize(v, "k"))?;
+            let rank = || match &ctx.engine {
+                Engine::Sharded(coord) => coord.top_k(snapshot, node, k, degrade),
+                Engine::Local(_) => Ok(top_k_from_column(&column(node, degrade)?, node, k)),
             };
-            if let Engine::Sharded(coord) = &ctx.engine {
-                let top = coord.top_k(snapshot, node, k, degrade)?;
-                return Ok(mark(render::topk(node, &top)));
-            }
-            let col = column(node, degrade)?;
-            Ok(mark(render::topk(node, &top_k_from_column(&col, node, k))))
+            // Truncated answers are never cached, never served cached.
+            let top = match degrade {
+                None => ctx.answers.get_or_rank(node, k, snapshot.epoch(), rank)?,
+                Some(_) => rank()?.into(),
+            };
+            Ok(mark(render::topk(node, &top)))
         }
         Route::Query => {
             let nodes = parse_nodes(target)?;
@@ -682,28 +694,26 @@ fn answer(
         }
         Route::ShardTopK => {
             let node = parse_usize(target.require("node")?, "node")?;
-            let k = match target.get("k") {
-                Some(v) => parse_usize(v, "k")?,
-                None => 10,
-            };
-            let col = column(node, shard_rank)?;
+            let k = target.get("k").map_or(Ok(10), |v| parse_usize(v, "k"))?;
             // This slice's top-k candidates in original-id space, ranked
             // by the same selection as the full column, so the
             // coordinator's merge reproduces the single-process answer
             // score-bit for score-bit.  As above, a plain server's column
             // is indexed by original id, a shard batcher's by internal
             // row offset.
-            let scored = select_top_k(
-                (lo..hi)
-                    .map(|row| {
-                        let id = model.original_id(row);
-                        let v = if ctx.shard_rows.is_some() { col[row - lo] } else { col[id] };
-                        (id, v)
-                    })
-                    .filter(|&(id, _)| id != node),
-                k,
-            );
-            Ok(render::shard_topk(node, &scored))
+            let rank = || -> Result<Vec<(usize, f64)>, (u16, String)> {
+                let col = column(node, shard_rank)?;
+                let scored = (lo..hi).map(|row| {
+                    let id = model.original_id(row);
+                    (id, if ctx.shard_rows.is_some() { col[row - lo] } else { col[id] })
+                });
+                Ok(select_top_k(scored.filter(|&(id, _)| id != node), k))
+            };
+            let top = match shard_rank {
+                None => ctx.answers.get_or_rank(node, k, snapshot.epoch(), rank)?,
+                Some(_) => rank()?.into(),
+            };
+            Ok(render::shard_topk(node, &top))
         }
     }
 }
@@ -920,9 +930,10 @@ mod tests {
     }
 
     #[test]
-    fn column_errors_map_to_timeout_unavailable_and_bad_request() {
+    fn column_errors_map_to_timeout_unavailable_internal_and_bad_request() {
         assert_eq!(status(ColumnError::Timeout).0, 408);
         assert_eq!(status(ColumnError::ShuttingDown).0, 503);
+        assert_eq!(status(ColumnError::Panicked).0, 500);
         assert_eq!(status(ColumnError::Failed("node 9".into())), (400, "node 9".to_string()));
     }
 
@@ -1228,6 +1239,112 @@ mod tests {
         if !response.is_empty() {
             assert!(response.contains("408"), "{response}");
         }
+        handle.shutdown();
+    }
+
+    /// `(evaluations, cache hits, cache misses)` so far.
+    fn counts(handle: &ServerHandle) -> (u64, u64, u64) {
+        let m = handle.metrics();
+        let load = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+        (load(&m.model_evaluations), load(&m.cache_hits), load(&m.cache_misses))
+    }
+
+    #[test]
+    fn a_repeat_topk_is_rendered_from_the_answer_cache() {
+        let m = model();
+        let expected = render::topk(1, &m.top_k(1, 3).unwrap());
+        let handle = Server::start(m.clone(), 0, ServeConfig::default()).unwrap();
+        let addr = handle.addr();
+        assert_eq!(get(addr, "/topk?node=1&k=3"), (200, expected.clone()));
+        assert_eq!(counts(&handle), (1, 0, 1));
+        // The repeat neither evaluates nor selects: it is a hit.
+        assert_eq!(get(addr, "/topk?node=1&k=3"), (200, expected));
+        assert_eq!(counts(&handle), (1, 1, 1));
+        // The same node with another k is another key.
+        let k2 = render::topk(1, &m.top_k(1, 2).unwrap());
+        assert_eq!(get(addr, "/topk?node=1&k=2"), (200, k2));
+        assert_eq!(counts(&handle), (2, 1, 2));
+        // `/similarity` builds no column and never touches the cache.
+        let sim = render::similarity(4, 1, m.similarity(4, 1).unwrap());
+        assert_eq!(get(addr, "/similarity?a=4&b=1"), (200, sim));
+        assert_eq!(counts(&handle), (2, 1, 2));
+        handle.shutdown();
+    }
+
+    #[test]
+    fn answers_longer_than_the_cap_are_served_but_not_cached() {
+        let g = csrplus_graph::generators::erdos_renyi::erdos_renyi(1_100, 4_400, 3).unwrap();
+        let t = TransitionMatrix::from_graph(&g);
+        let m = CsrPlusModel::precompute(&t, &CsrPlusConfig::with_rank(4)).unwrap();
+        assert!(m.n() - 1 > crate::cache::MAX_CACHED_ANSWER);
+        let expected = render::topk(7, &m.top_k(7, 5_000).unwrap());
+        let handle = Server::start(m, 0, ServeConfig::default()).unwrap();
+        // k > n: all n − 1 other nodes, answered twice, stored never.
+        for _ in 0..2 {
+            assert_eq!(get(handle.addr(), "/topk?node=7&k=5000"), (200, expected.clone()));
+        }
+        assert_eq!(counts(&handle), (2, 0, 2));
+        // An answer at the cap is stored.
+        let k = crate::cache::MAX_CACHED_ANSWER;
+        for _ in 0..2 {
+            assert_eq!(get(handle.addr(), &format!("/topk?node=7&k={k}")).0, 200);
+        }
+        assert_eq!(counts(&handle), (3, 1, 3));
+        handle.shutdown();
+    }
+
+    #[test]
+    fn degraded_topk_neither_reads_nor_fills_the_answer_cache() {
+        let m = model();
+        let exact = render::topk(2, &m.top_k(2, 3).unwrap());
+        let config =
+            ServeConfig { degrade_rank: Some(1), degrade_watermark: 0, ..ServeConfig::default() };
+        let handle = Server::start(m, 0, config).unwrap();
+        let addr = handle.addr();
+        assert_eq!(get(addr, "/topk?node=2&k=3"), (200, exact.clone()));
+        // Not served the cached exact list...
+        let (code, degraded) = get(addr, "/topk?node=2&k=3&degraded=allow");
+        assert_eq!(code, 200);
+        assert!(degraded.ends_with(",\"served_rank\":1}"), "{degraded}");
+        assert_eq!(counts(&handle), (2, 0, 1), "the degraded request skipped the lookup");
+        // ...and did not overwrite it.
+        assert_eq!(get(addr, "/topk?node=2&k=3"), (200, exact));
+        assert_eq!(counts(&handle), (2, 1, 1));
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_published_epoch_misses_the_previous_epochs_answers() {
+        let handle =
+            Server::start_ingesting(dynamic(), 0, ServeConfig::default(), IngestConfig::default())
+                .unwrap();
+        let addr = handle.addr();
+        let (_, before) = get(addr, "/topk?node=4&k=3");
+        assert_eq!(get(addr, "/topk?node=4&k=3").1, before);
+        assert_eq!(counts(&handle), (1, 1, 1));
+        let (code, _) = post(addr, "/edges", "{\"op\":\"insert\",\"x\":1,\"y\":4}\n");
+        assert_eq!(code, 200);
+        let (_, after) = get(addr, "/topk?node=4&k=3");
+        assert!(after.ends_with(",\"epoch\":1}"), "{after}");
+        assert_ne!(before.replace(",\"epoch\":0}", ""), after.replace(",\"epoch\":1}", ""));
+        assert_eq!(counts(&handle), (2, 1, 2), "the epoch-0 answer did not serve epoch 1");
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_batch_answers_500_and_the_server_keeps_serving() {
+        let m = model();
+        let expected = render::topk(1, &m.top_k(1, 3).unwrap());
+        let handle = Server::start(m, 0, ServeConfig::default()).unwrap();
+        let Some(Engine::Local(batcher)) = handle.ctx.as_ref().map(|ctx| &ctx.engine) else {
+            unreachable!("a plain server evaluates locally")
+        };
+        batcher.panic_next_batch();
+        let (code, body) = get(handle.addr(), "/topk?node=1&k=3");
+        assert_eq!(code, 500, "{body}");
+        assert_eq!(get(handle.addr(), "/topk?node=1&k=3"), (200, expected));
+        let (_, metrics) = get(handle.addr(), "/metrics");
+        assert!(metrics.contains("\"batched_requests\":1,\"panics\":1,"), "{metrics}");
         handle.shutdown();
     }
 }

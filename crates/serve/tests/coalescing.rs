@@ -67,7 +67,7 @@ fn concurrent_http_requests_coalesce_into_one_evaluation() {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 barrier.wait();
-                (j, http_get(addr, &format!("/similarity?a=0&b={j}")))
+                (j, http_get(addr, &format!("/topk?node={j}&k=3")))
             })
         })
         .collect();
@@ -77,7 +77,7 @@ fn concurrent_http_requests_coalesce_into_one_evaluation() {
     // Every client got the byte-identical body of the unbatched answer.
     for (j, (status, body)) in &answers {
         assert_eq!(*status, 200, "client {j}");
-        let unbatched = render::similarity(0, *j, reference.similarity(0, *j).unwrap());
+        let unbatched = render::topk(*j, &reference.top_k(*j, 3).unwrap());
         assert_eq!(*body, unbatched, "client {j} answer differs from unbatched");
     }
 
@@ -87,7 +87,7 @@ fn concurrent_http_requests_coalesce_into_one_evaluation() {
     assert_eq!(metric(&metrics, "model_evaluations"), 1, "metrics: {metrics}");
     assert_eq!(metric(&metrics, "batched_requests"), K as u64, "metrics: {metrics}");
     // The /metrics request itself is only counted after its body renders,
-    // so it sees exactly the K similarity requests.
+    // so it sees exactly the K top-k requests.
     assert_eq!(metric(&metrics, "requests_total"), K as u64, "metrics: {metrics}");
 
     handle.shutdown();
@@ -107,8 +107,10 @@ fn cache_serves_repeat_queries_without_reevaluation() {
     let handle = Server::start(m, 0, config).unwrap();
     let addr = handle.addr();
 
-    let (s1, b1) = http_get(addr, "/similarity?a=1&b=2");
-    let (s2, b2) = http_get(addr, "/similarity?a=1&b=2");
+    // Ranked answers are what the server caches; `/similarity` is one dot
+    // product and evaluates no column at all.
+    let (s1, b1) = http_get(addr, "/topk?node=1&k=2");
+    let (s2, b2) = http_get(addr, "/topk?node=1&k=2");
     assert_eq!((s1, s2), (200, 200));
     assert_eq!(b1, b2);
 

@@ -103,7 +103,7 @@ proptest! {
             format!("/query?nodes={}", node(6)),
             format!("/query?nodes={},{},{}", node(7), node(8), node(7)),
             format!("/query?nodes={}%2C{}%2C{}%2C{}", node(9), node(10), node(11), node(0)),
-            // Repeats: the second answer comes from the column cache.
+            // Repeats: the second `/topk` answer comes from the answer cache.
             format!("/similarity?a={}&b={}", node(1), node(0)),
             format!("/topk?node={}&k={k}", node(3)),
         ];
