@@ -17,7 +17,6 @@
 //!   ablation-svd        randomized-SVD knobs vs accuracy/time
 //!   ablation-squaring   repeated squaring vs linear subspace iteration
 //!   ablation-stages     NI → CSR+ optimisation stages (Thm 3.1–3.5)
-//!   ablation-backend    randomized vs Lanczos truncated SVD
 //!   extras     extension baselines (CoSimMate, RP-CoSim) vs CSR+
 //!   all        everything above
 //! ```
@@ -88,7 +87,6 @@ fn main() {
             "ablation-svd",
             "ablation-squaring",
             "ablation-stages",
-            "ablation-backend",
             "extras",
         ]
         .iter()
@@ -118,7 +116,6 @@ fn main() {
             "ablation-svd" => ablation_svd(&opts),
             "ablation-squaring" => ablation_squaring(&opts),
             "ablation-stages" => ablation_stages(&opts),
-            "ablation-backend" => ablation_backend(&opts),
             "extras" => extras(&opts),
             other => {
                 eprintln!("unknown experiment {other}");
@@ -518,36 +515,6 @@ fn ablation_squaring(opts: &Options) {
         lines.push(format!("{eps},{k_sq},{t_sq},{k_lin},{t_lin},{diff}"));
     }
     let path = opts.out_dir.join("ablation_squaring.csv");
-    std::fs::create_dir_all(&opts.out_dir).ok();
-    if std::fs::write(&path, lines.join("\n")).is_ok() {
-        println!("→ wrote {}", path.display());
-    }
-}
-
-/// Ablation: randomized subspace iteration vs Golub–Kahan–Lanczos as the
-/// truncated-SVD backend — accuracy and preprocessing time per dataset.
-fn ablation_backend(opts: &Options) {
-    use csrplus_core::SvdBackend;
-    println!("== Ablation: SVD backend (r=10, |Q|=50) ==");
-    let mut lines = vec!["dataset,backend,avg_diff,precompute_s".to_string()];
-    for id in [DatasetId::Fb, DatasetId::P2p] {
-        let w = workload(id, opts.scale);
-        let queries = w.queries(50, QUERY_SEED);
-        let exact_s = exact::multi_source(&w.transition, &queries, 0.6, 1e-9);
-        for (name, backend) in
-            [("randomized", SvdBackend::Randomized), ("lanczos", SvdBackend::Lanczos)]
-        {
-            let cfg = CsrPlusConfig { rank: 10, backend, ..Default::default() };
-            let t0 = Instant::now();
-            let model = CsrPlusModel::precompute(&w.transition, &cfg).expect("precompute");
-            let pre = t0.elapsed().as_secs_f64();
-            let s = model.multi_source(&queries).expect("query");
-            let err = metrics::avg_diff(&s, &exact_s);
-            println!("  {:<4} {name:<11} AvgDiff={err:.4e}  pre={}", id.name(), fmt_secs(pre));
-            lines.push(format!("{},{name},{err},{pre}", id.name()));
-        }
-    }
-    let path = opts.out_dir.join("ablation_backend.csv");
     std::fs::create_dir_all(&opts.out_dir).ok();
     if std::fs::write(&path, lines.join("\n")).is_ok() {
         println!("→ wrote {}", path.display());

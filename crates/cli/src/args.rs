@@ -12,7 +12,6 @@ usage:
   csrplus generate   --dataset <fb|p2p|yt|wt|tw|wb> [--scale test|bench] --out <graph.txt>
   csrplus stats      <graph.txt>
   csrplus precompute <graph.txt> [--rank R] [--damping C] [--epsilon E]
-                     [--backend randomized|lanczos]
                      [--reorder identity|degree|rcm|labelprop] --out <model.csrp>
   csrplus query      <model.csrp> --nodes 1,3,5 [--top K]
   csrplus topk       <model.csrp> --node N [--k K]
@@ -74,8 +73,6 @@ pub enum Command {
         damping: f64,
         /// Accuracy.
         epsilon: f64,
-        /// Truncated-SVD backend.
-        backend: csrplus_core::SvdBackend,
         /// Locality-aware node reordering applied before precompute.
         reorder: Reordering,
         /// Output model path.
@@ -301,12 +298,14 @@ fn parse_store(v: &str) -> Result<Backend, String> {
     }
 }
 
-/// Parses `argv` (without the program name).
+/// Parses `argv` (without the program name).  A flag that [`USAGE`] does
+/// not list for the subcommand is an error, so a misspelt or removed
+/// option never falls back to its default unnoticed.
 pub fn parse(argv: &[String]) -> Result<Command, String> {
     let mut it = argv.iter();
     let sub = it.next().ok_or("missing subcommand")?;
     let rest: Vec<&String> = it.collect();
-    match sub.as_str() {
+    let parsed = match sub.as_str() {
         "generate" => parse_generate(&rest),
         "stats" => {
             let graph = positional(&rest, 0)?;
@@ -327,8 +326,30 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             model: positional(&rest, 0)?,
             verify: has_flag(&rest, "--verify"),
         }),
-        other => Err(format!("unknown subcommand {other:?}")),
+        other => return Err(format!("unknown subcommand {other:?}")),
+    };
+    if let Some(flag) =
+        rest.iter().find(|a| a.starts_with("--") && !usage_flags(sub).any(|f| f == **a))
+    {
+        return Err(format!("unknown flag {flag:?}"));
     }
+    parsed
+}
+
+/// Every `--flag` on `sub`'s lines of [`USAGE`]: its first line and the
+/// indented lines that continue it.  The usage text is the one list of
+/// the flags a subcommand accepts, so it cannot fall out of step with the
+/// parser.  The global flags are not on these lines; [`extract_settings`]
+/// strips them first.
+fn usage_flags(sub: &str) -> impl Iterator<Item = &'static str> {
+    let head = format!("  csrplus {sub} ");
+    USAGE
+        .lines()
+        .skip_while(move |line| !line.starts_with(&head))
+        .enumerate()
+        .take_while(|(i, line)| *i == 0 || line.starts_with("     "))
+        .flat_map(|(_, line)| line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+        .filter(|word| word.starts_with("--"))
 }
 
 fn positional(rest: &[&String], idx: usize) -> Result<PathBuf, String> {
@@ -429,11 +450,6 @@ fn parse_precompute(rest: &[&String]) -> Result<Command, String> {
         rank: num_flag(rest, "--rank", 5)?,
         damping: num_flag(rest, "--damping", 0.6)?,
         epsilon: num_flag(rest, "--epsilon", 1e-5)?,
-        backend: match flag_value(rest, "--backend") {
-            None | Some("randomized") => csrplus_core::SvdBackend::Randomized,
-            Some("lanczos") => csrplus_core::SvdBackend::Lanczos,
-            Some(other) => return Err(format!("unknown backend {other:?}")),
-        },
         reorder: match flag_value(rest, "--reorder") {
             None => Reordering::Identity,
             Some(v) => Reordering::parse(v).ok_or_else(|| format!("unknown reordering {v:?}"))?,
@@ -583,26 +599,28 @@ mod tests {
     fn parse_precompute_defaults() {
         let cmd = parse(&argv("precompute g.txt --out m.csrp")).unwrap();
         match cmd {
-            Command::Precompute { rank, damping, epsilon, backend, .. } => {
+            Command::Precompute { rank, damping, epsilon, .. } => {
                 assert_eq!(rank, 5);
                 assert_eq!(damping, 0.6);
                 assert_eq!(epsilon, 1e-5);
-                assert_eq!(backend, csrplus_core::SvdBackend::Randomized);
             }
             other => panic!("{other:?}"),
         }
     }
 
     #[test]
-    fn parse_precompute_lanczos_backend() {
-        let cmd = parse(&argv("precompute g.txt --backend lanczos --out m.csrp")).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Precompute { backend: csrplus_core::SvdBackend::Lanczos, .. }
-        ));
-        assert!(parse(&argv("precompute g.txt --backend frob --out m"))
-            .unwrap_err()
-            .contains("unknown backend"));
+    fn unknown_flags_are_rejected() {
+        let unknown = |line: &str| parse(&argv(line)).unwrap_err();
+        assert_eq!(
+            unknown("precompute g.txt --backend lanczos --out m.csrp"),
+            r#"unknown flag "--backend""#
+        );
+        assert_eq!(unknown("precompute g.txt --rnak 3 --out m.csrp"), r#"unknown flag "--rnak""#);
+        assert_eq!(unknown("topk m.csrp --node 1 --kk 2"), r#"unknown flag "--kk""#);
+        assert_eq!(unknown("stats g.txt --bogus"), r#"unknown flag "--bogus""#);
+        // A flag of one subcommand is unknown to another.
+        assert_eq!(unknown("shard m.csrp --rows 0:4 --ingest g.txt"), r#"unknown flag "--ingest""#);
+        assert_eq!(unknown("inspect m.csrp --out x"), r#"unknown flag "--out""#);
     }
 
     #[test]

@@ -48,13 +48,12 @@ pub fn run(cmd: Command, settings: &Settings) -> Result<(), Box<dyn Error>> {
             );
             Ok(())
         }
-        Command::Precompute { graph, rank, damping, epsilon, backend, reorder, out } => {
+        Command::Precompute { graph, rank, damping, epsilon, reorder, out } => {
             let loaded = read_snap_file(&graph)?;
             let config = CsrPlusConfig {
                 rank,
                 damping,
                 epsilon,
-                backend,
                 precision: settings.precision,
                 ..Default::default()
             };
@@ -206,7 +205,7 @@ pub fn run(cmd: Command, settings: &Settings) -> Result<(), Box<dyn Error>> {
             }
             if let Some(graph_path) = ingest {
                 // The artifact donates the precompute configuration (rank,
-                // damping, epsilon, backend, storage precision); the graph
+                // damping, epsilon, storage precision); the graph
                 // donates the structure.
                 // The dynamic engine rebuilds the factors from the graph so
                 // the boot snapshot (epoch 0) reflects the graph exactly.

@@ -3,21 +3,8 @@
 use crate::error::CoSimRankError;
 use crate::precision::Precision;
 use csrplus_graph::TransitionMatrix;
-use csrplus_linalg::lanczos::{lanczos_svd, LanczosSvdConfig};
 use csrplus_linalg::randomized::{randomized_svd, RandomizedSvdConfig};
 use csrplus_linalg::TruncatedSvd;
-
-/// Which truncated-SVD algorithm powers line 2 of Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SvdBackend {
-    /// Randomized subspace iteration (Halko et al.) — the default; best
-    /// throughput on decaying spectra (few passes over the graph).
-    #[default]
-    Randomized,
-    /// Golub–Kahan–Lanczos bidiagonalisation (the `svds` family) — more
-    /// reliable extreme triples on flat spectra, strictly sequential.
-    Lanczos,
-}
 
 /// Parameters of Algorithm 1 (plus randomized-SVD knobs).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,8 +21,6 @@ pub struct CsrPlusConfig {
     pub power_iterations: usize,
     /// RNG seed for the sketch — runs are deterministic given it.
     pub seed: u64,
-    /// Which truncated-SVD algorithm to use.
-    pub backend: SvdBackend,
     /// Storage precision of the memoised `U` and `Z` (line 6).  A loaded
     /// model reports the precision its artifact stores.
     pub precision: Precision,
@@ -50,7 +35,6 @@ impl Default for CsrPlusConfig {
             oversample: 8,
             power_iterations: 2,
             seed: 0xC0_51_31,
-            backend: SvdBackend::Randomized,
             precision: Precision::F64,
         }
     }
@@ -106,24 +90,15 @@ impl CsrPlusConfig {
         }
     }
 
-    /// The `LanczosSvdConfig` equivalent of this config (`oversample`
-    /// doubles as the extra-step padding).
-    pub fn lanczos_config(&self) -> LanczosSvdConfig {
-        LanczosSvdConfig { rank: self.rank, extra_steps: self.oversample.max(8), seed: self.seed }
-    }
-
-    /// Line 2 of Algorithm 1: the rank-`r` truncated SVD of `t` by the
-    /// configured [`SvdBackend`].  Every factorisation — a precompute, a
-    /// dynamic model's first build and each of its refreshes — goes
+    /// Line 2 of Algorithm 1: the rank-`r` truncated SVD of `t` by
+    /// randomized subspace iteration.  Every factorisation — a precompute,
+    /// a dynamic model's first build and each of its refreshes — goes
     /// through here, so one config always yields one model.
     ///
     /// # Errors
     /// Propagates SVD failures.
     pub fn factorise(&self, t: &TransitionMatrix) -> Result<TruncatedSvd, CoSimRankError> {
-        Ok(match self.backend {
-            SvdBackend::Randomized => randomized_svd(t, &self.svd_config())?,
-            SvdBackend::Lanczos => lanczos_svd(t, &self.lanczos_config())?,
-        })
+        Ok(randomized_svd(t, &self.svd_config())?)
     }
 }
 

@@ -293,12 +293,9 @@ mod tests {
     }
 
     #[test]
-    fn builds_and_refreshes_factorise_with_the_configured_backend() {
+    fn builds_and_refreshes_are_bitwise_equal_to_precompute() {
         let g = csrplus_graph::generators::erdos_renyi(60, 240, 5).unwrap();
-        let base = CsrPlusConfig {
-            backend: crate::config::SvdBackend::Lanczos,
-            ..CsrPlusConfig::with_rank(6)
-        };
+        let base = CsrPlusConfig::with_rank(6);
         let cfg = DynamicConfig { base, refresh_interval: 1_000 };
         let mut live = DynamicCsrPlus::new(&g, cfg).unwrap();
         let precomputed = |graph: &DiGraph| {

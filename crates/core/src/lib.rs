@@ -40,7 +40,7 @@ pub mod persist;
 pub mod precision;
 pub mod topk;
 
-pub use config::{CsrPlusConfig, SvdBackend};
+pub use config::CsrPlusConfig;
 // Re-exported because it appears throughout the public API (query blocks,
 // `_into` scratch buffers) — dependants need not name csrplus-linalg.
 pub use csrplus_linalg::DenseMatrix;

@@ -56,6 +56,52 @@ pub fn ndcg_at_k(estimated: &[usize], relevance: &[f64], k: usize) -> f64 {
     }
 }
 
+/// The exact score mass of a model's top-`k` ([`mass_at_k`]) next to the
+/// most any `k` ids could hold.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct MassAtK {
+    /// Σ exact score over the model's top-`k` ids.
+    pub model: f64,
+    /// Σ exact score over the exact top-`k` ids.
+    pub ideal: f64,
+}
+
+impl MassAtK {
+    /// `model / ideal`: 1.0 when the model's top-`k` holds as much exact
+    /// score as the exact top-`k` does.
+    pub fn share(self) -> f64 {
+        self.model / self.ideal
+    }
+}
+
+/// Sums a sample's masses, so that its share is a ratio of sums.  A mean
+/// of per-query shares would be NaN as soon as one query's exact top-`k`
+/// holds no mass at all.
+impl std::iter::Sum for MassAtK {
+    fn sum<I: Iterator<Item = MassAtK>>(iter: I) -> MassAtK {
+        iter.fold(MassAtK::default(), |a, b| MassAtK {
+            model: a.model + b.model,
+            ideal: a.ideal + b.ideal,
+        })
+    }
+}
+
+/// Top-`k` exact-mass share of one ranked answer: the exact scores of the
+/// first `k` of `model_ids`, next to the `k` largest scores of
+/// `exact_column` (indexed by node id).  Unlike [`avg_diff`], it sees only
+/// the entries a top-`k` answer returns, where the low-rank term decides
+/// the order.  Give the query node's own entry as 0 when the ranking
+/// excludes it, as [`CsrPlusModel::top_k`](crate::CsrPlusModel::top_k)
+/// does.
+pub fn mass_at_k(model_ids: &[usize], exact_column: &[f64], k: usize) -> MassAtK {
+    let model = model_ids.iter().take(k).map(|&id| exact_column[id]).sum();
+    let ideal = crate::topk::select_top_k(exact_column.iter().copied().enumerate(), k)
+        .iter()
+        .map(|e| e.1)
+        .sum();
+    MassAtK { model, ideal }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,6 +149,20 @@ mod tests {
         let good = ndcg_at_k(&[3, 0, 1], &relevance, 3);
         let bad = ndcg_at_k(&[1, 0, 3], &relevance, 3);
         assert!(good > bad);
+    }
+
+    #[test]
+    fn mass_at_k_compares_against_the_exact_top_k() {
+        let exact = [0.0, 0.5, 0.25, 0.125, 1.0];
+        let m = mass_at_k(&[4, 1, 0], &exact, 2);
+        assert_eq!(m, MassAtK { model: 1.5, ideal: 1.5 });
+        assert_eq!(m.share(), 1.0);
+        assert_eq!(mass_at_k(&[3, 2], &exact, 2), MassAtK { model: 0.375, ideal: 1.5 });
+        // A query with no exact mass does not make the sample's share NaN.
+        let empty = mass_at_k(&[0, 1], &[0.0; 3], 2);
+        assert_eq!(empty, MassAtK::default());
+        let sample: MassAtK = [m, empty].into_iter().sum();
+        assert_eq!(sample.share(), 1.0);
     }
 
     #[test]

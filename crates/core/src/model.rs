@@ -962,35 +962,6 @@ mod tests {
     }
 
     #[test]
-    fn lanczos_backend_reproduces_worked_example() {
-        let g = figure1_graph();
-        let t = TransitionMatrix::from_graph(&g);
-        let cfg = CsrPlusConfig {
-            rank: 3,
-            backend: crate::config::SvdBackend::Lanczos,
-            ..Default::default()
-        };
-        let m = CsrPlusModel::precompute(&t, &cfg).unwrap();
-        assert!((m.sigma()[0] - 1.73).abs() < 0.01);
-        let s = m.multi_source(&[1, 3]).unwrap();
-        assert!((s.get(1, 0) - 1.49).abs() < 0.02);
-        assert!((s.get(3, 0) - 0.49).abs() < 0.02);
-    }
-
-    #[test]
-    fn backends_agree_on_full_rank() {
-        let g = figure1_graph();
-        let t = TransitionMatrix::from_graph(&g);
-        let mk = |backend| {
-            let cfg = CsrPlusConfig { rank: 4, epsilon: 1e-12, backend, ..Default::default() };
-            CsrPlusModel::precompute(&t, &cfg).unwrap().multi_source(&[0, 1, 2]).unwrap()
-        };
-        let a = mk(crate::config::SvdBackend::Randomized);
-        let b = mk(crate::config::SvdBackend::Lanczos);
-        assert!(a.approx_eq(&b, 1e-6), "backend diff {}", a.max_abs_diff(&b));
-    }
-
-    #[test]
     fn subspace_fixed_point_matches_linear_iteration() {
         let m = fig1_model(3);
         let sq = solve_subspace_fixed_point(m.h0(), 0.6, 5).unwrap();

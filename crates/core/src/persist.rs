@@ -21,6 +21,14 @@
 //!   trailing FNV-1a).  v1 files still load — through the slow
 //!   fully-deserialising path — and `csrplus pack` rewrites them as v2.
 //!
+//! Both headers keep a slot for the truncated-SVD backend that built the
+//! model.  Writers store 0 (randomized subspace iteration, the only
+//! backend); readers also accept 1, the tag of a second backend that
+//! older builds offered, and reject any other value as `Malformed`.  The
+//! tag never changed how a file loads or answers.  It only told a rebuild
+//! (`serve --ingest`, [`crate::dynamic::DynamicCsrPlus`]) which SVD to
+//! run, and every rebuild now runs the randomized one.
+//!
 //! The writer streams: payload bytes pass through fixed stack scratch
 //! buffers with checksums folded in on the way, so saving never buffers
 //! a payload and peak RSS stays O(1) in the model size (pinned by an
@@ -208,17 +216,14 @@ impl<R: Read> HashingReader<R> {
     }
 }
 
-fn backend_tag(backend: crate::config::SvdBackend) -> u64 {
-    match backend {
-        crate::config::SvdBackend::Randomized => 0,
-        crate::config::SvdBackend::Lanczos => 1,
-    }
-}
+/// The SVD-backend tag every writer stores: randomized subspace
+/// iteration.  Readers also accept 1, which older builds wrote for their
+/// Golub–Kahan–Lanczos backend (see the module doc).
+const SVD_TAG: u64 = 0;
 
-fn backend_from_tag(tag: u64) -> Result<crate::config::SvdBackend, PersistError> {
+fn check_svd_tag(tag: u64) -> Result<(), PersistError> {
     match tag {
-        0 => Ok(crate::config::SvdBackend::Randomized),
-        1 => Ok(crate::config::SvdBackend::Lanczos),
+        0 | 1 => Ok(()),
         other => Err(PersistError::Malformed(format!("unknown SVD backend tag {other}"))),
     }
 }
@@ -265,7 +270,7 @@ pub fn write_model_with_epoch<W: Write>(
             cfg.oversample as u64,
             cfg.power_iterations as u64,
             cfg.seed,
-            backend_tag(cfg.backend),
+            SVD_TAG,
             cfg.damping.to_bits(),
             cfg.epsilon.to_bits(),
         ],
@@ -330,7 +335,7 @@ pub fn write_model_v1<W: Write>(model: &CsrPlusModel, writer: W) -> Result<(), P
     w.put_u64(cfg.oversample as u64)?;
     w.put_u64(cfg.power_iterations as u64)?;
     w.put_u64(cfg.seed)?;
-    w.put_u64(backend_tag(cfg.backend))?;
+    w.put_u64(SVD_TAG)?;
     w.put_f64_slice(model.sigma())?;
     // v1 stays an f64-only format: f32-storage factors are widened on the
     // way out (lossless — every f32 is exactly representable in f64).
@@ -401,7 +406,7 @@ fn read_model_v1_body<R: Read>(mut r: HashingReader<R>) -> Result<CsrPlusModel, 
     let oversample = r.get_u64()? as usize;
     let power_iterations = r.get_u64()? as usize;
     let seed = r.get_u64()?;
-    let backend = backend_from_tag(r.get_u64()?)?;
+    check_svd_tag(r.get_u64()?)?;
     let sigma = r.get_f64_vec(rank)?;
     let u = r.get_f64_vec(n * rank)?;
     let z = r.get_f64_vec(n * rank)?;
@@ -425,7 +430,6 @@ fn read_model_v1_body<R: Read>(mut r: HashingReader<R>) -> Result<CsrPlusModel, 
         oversample,
         power_iterations,
         seed,
-        backend,
         precision: Precision::F64,
     };
     CsrPlusModel::from_parts(
@@ -463,6 +467,7 @@ pub fn model_from_artifact(artifact: &Artifact) -> Result<CsrPlusModel, PersistE
         Some(s) => s.dtype == DType::F32,
         None => false,
     };
+    check_svd_tag(meta[5])?;
     let config = CsrPlusConfig {
         damping: f64::from_bits(meta[6]),
         rank,
@@ -470,7 +475,6 @@ pub fn model_from_artifact(artifact: &Artifact) -> Result<CsrPlusModel, PersistE
         oversample: meta[2] as usize,
         power_iterations: meta[3] as usize,
         seed: meta[4],
-        backend: backend_from_tag(meta[5])?,
         precision: if f32_factors { Precision::F32 } else { Precision::F64 },
     };
     let sigma = artifact.decode_f64s("sigma")?;
@@ -795,6 +799,21 @@ mod tests {
         assert!(err.to_string().contains("csrplus pack"), "{err}");
     }
 
+    /// `m` written as v2 with `tag` in the SVD-backend slot of `meta`.
+    fn v2_with_svd_tag(m: &CsrPlusModel, tag: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_model(m, &mut buf).unwrap();
+        let artifact = Artifact::from_bytes(&buf).unwrap();
+        let mut meta = artifact.decode_u64s("meta").unwrap();
+        meta[5] = tag;
+        let mut w = ArtifactWriter::new(Vec::new()).unwrap();
+        w.section_u64s("meta", &meta).unwrap();
+        for name in ["sigma", "u", "z", "p", "h0"] {
+            w.section_f64s(name, &artifact.decode_f64s(name).unwrap()).unwrap();
+        }
+        w.finish().unwrap()
+    }
+
     #[test]
     fn implausible_header_rejected_before_allocation() {
         // Hand-craft a v1 header claiming n = u64::MAX.
@@ -806,6 +825,18 @@ mod tests {
         buf.extend_from_slice(&[0u8; 64]); // enough trailing bytes
         let err = read_model(buf.as_slice()).unwrap_err();
         assert!(matches!(err, PersistError::Malformed(_)), "{err}");
+
+        // The SVD-backend slot: 0 is what this build writes, 1 an older
+        // build's second backend, and 2 names nothing.
+        let m = model();
+        let mut plain = Vec::new();
+        write_model(&m, &mut plain).unwrap();
+        assert_eq!(v2_with_svd_tag(&m, SVD_TAG), plain);
+        let tagged_1 = read_model(v2_with_svd_tag(&m, 1).as_slice()).unwrap();
+        assert_eq!(tagged_1.multi_source(&[1, 3]).unwrap(), m.multi_source(&[1, 3]).unwrap());
+        let err = read_model(v2_with_svd_tag(&m, 2).as_slice()).unwrap_err();
+        assert!(matches!(err, PersistError::Malformed(_)), "{err}");
+        assert!(err.to_string().contains("SVD backend tag 2"), "{err}");
     }
 
     #[test]

@@ -6,51 +6,40 @@
 //! loading until everyone has repacked).
 
 use csrplus_core::persist::{read_model, write_model, write_model_v1, PersistError};
-use csrplus_core::{CsrPlusConfig, CsrPlusModel, SvdBackend};
+use csrplus_core::{CsrPlusConfig, CsrPlusModel};
 use csrplus_linalg::DenseMatrix;
 use proptest::prelude::*;
 
 /// An arbitrary-but-valid model assembled straight from parts, covering
 /// shapes and values `precompute` would never produce.
 fn arb_model() -> impl Strategy<Value = CsrPlusModel> {
-    (1usize..10, 0.05f64..0.95, 1e-8f64..0.5, proptest::bool::ANY).prop_flat_map(
-        |(n, damping, epsilon, lanczos)| {
-            (1usize..=n, Just(n), Just(damping), Just(epsilon), Just(lanczos)).prop_flat_map(
-                |(r, n, damping, epsilon, lanczos)| {
-                    let entries = proptest::collection::vec(-2.0f64..2.0, n * r);
-                    let square = proptest::collection::vec(-2.0f64..2.0, r * r);
-                    let sigmas = proptest::collection::vec(0.0f64..3.0, r);
-                    (entries.clone(), entries, square.clone(), square, sigmas).prop_map(
-                        move |(u, z, p, h0, mut sigma)| {
-                            // σ must be sorted descending to be a plausible spectrum.
-                            sigma.sort_by(|a, b| b.partial_cmp(a).unwrap());
-                            let config = CsrPlusConfig {
-                                rank: r,
-                                damping,
-                                epsilon,
-                                backend: if lanczos {
-                                    SvdBackend::Lanczos
-                                } else {
-                                    SvdBackend::Randomized
-                                },
-                                ..Default::default()
-                            };
-                            CsrPlusModel::from_parts(
-                                config,
-                                n,
-                                DenseMatrix::from_vec(n, r, u).unwrap(),
-                                DenseMatrix::from_vec(n, r, z).unwrap(),
-                                sigma,
-                                DenseMatrix::from_vec(r, r, p).unwrap(),
-                                DenseMatrix::from_vec(r, r, h0).unwrap(),
-                            )
-                            .unwrap()
-                        },
-                    )
-                },
-            )
-        },
-    )
+    (1usize..10, 0.05f64..0.95, 1e-8f64..0.5).prop_flat_map(|(n, damping, epsilon)| {
+        (1usize..=n, Just(n), Just(damping), Just(epsilon)).prop_flat_map(
+            |(r, n, damping, epsilon)| {
+                let entries = proptest::collection::vec(-2.0f64..2.0, n * r);
+                let square = proptest::collection::vec(-2.0f64..2.0, r * r);
+                let sigmas = proptest::collection::vec(0.0f64..3.0, r);
+                (entries.clone(), entries, square.clone(), square, sigmas).prop_map(
+                    move |(u, z, p, h0, mut sigma)| {
+                        // σ must be sorted descending to be a plausible spectrum.
+                        sigma.sort_by(|a, b| b.partial_cmp(a).unwrap());
+                        let config =
+                            CsrPlusConfig { rank: r, damping, epsilon, ..Default::default() };
+                        CsrPlusModel::from_parts(
+                            config,
+                            n,
+                            DenseMatrix::from_vec(n, r, u).unwrap(),
+                            DenseMatrix::from_vec(n, r, z).unwrap(),
+                            sigma,
+                            DenseMatrix::from_vec(r, r, p).unwrap(),
+                            DenseMatrix::from_vec(r, r, h0).unwrap(),
+                        )
+                        .unwrap()
+                    },
+                )
+            },
+        )
+    })
 }
 
 fn encode(model: &CsrPlusModel) -> Vec<u8> {

@@ -14,7 +14,7 @@
 //! * [`jacobi`] — a cyclic Jacobi eigensolver for small symmetric matrices;
 //! * [`svd`] — one-sided Jacobi SVD for small dense matrices (exact) and
 //!   the [`svd::TruncatedSvd`] result type;
-//! * [`randomized`] / [`lanczos`] — randomized subspace-iteration **truncated SVD** over
+//! * [`randomized`] — randomized subspace-iteration **truncated SVD** over
 //!   any [`LinearOperator`], the workhorse used to factor billion-edge
 //!   sparse transition matrices as `Q ≈ U Σ Vᵀ`;
 //! * [`kron`] — Kronecker (tensor) products, both materialised (used by the
@@ -45,7 +45,6 @@ pub mod dense;
 pub mod error;
 pub mod jacobi;
 pub mod kron;
-pub mod lanczos;
 pub mod linop;
 pub mod lu;
 pub mod qr;

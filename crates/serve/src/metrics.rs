@@ -171,8 +171,12 @@ pub struct Metrics {
     requests: [AtomicU64; 9],
     /// Per-route latency, microseconds (indexed by [`Route`]).
     latency_us: [Histogram; 9],
-    /// 4xx responses (bad parameters, unknown routes, …).
+    /// 4xx responses other than 408 (bad parameters, unknown routes, …).
     pub client_errors: AtomicU64,
+    /// 5xx responses and 408 (a panic, an unreachable or slow shard, a
+    /// request that timed out waiting for its answer): the server's side
+    /// failed, not the request.
+    pub server_errors: AtomicU64,
     /// I/O failures while reading/answering a request.
     pub io_errors: AtomicU64,
     /// Connections shed with `503` because the admission queue was full.
@@ -295,6 +299,7 @@ impl Metrics {
         }
         out.close(b'}').key("errors").counts(&[
             ("client", load(&self.client_errors)),
+            ("server", load(&self.server_errors)),
             ("io", load(&self.io_errors)),
             ("queue_rejections", load(&self.queue_rejections)),
         ]);

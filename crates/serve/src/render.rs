@@ -302,6 +302,7 @@ mod tests {
         m.record_request(Route::Edges, Duration::from_micros(70_000));
         for (counter, v) in [
             (&m.client_errors, 2),
+            (&m.server_errors, 6),
             (&m.io_errors, 1),
             (&m.queue_rejections, 3),
             (&m.model_evaluations, 4),
@@ -358,7 +359,8 @@ mod tests {
             ":{\"requests\":0,\"latency_us\":{\"count\":0,\"sum\":0,\"p50\":0,\"p99\":0,\"p999\":0,\"",
             "buckets\":{}}},\"edges\":{\"requests\":1,\"latency_us\":{\"count\":1,\"sum\":70000,\"p50",
             "\":131072,\"p99\":131072,\"p999\":131072,\"buckets\":{\"le_131072\":1}}}},\"errors\":{\"",
-            "client\":2,\"io\":1,\"queue_rejections\":3},\"batcher\":{\"model_evaluations\":4,\"batch",
+            "client\":2,\"server\":6,\"io\":1,\"queue_rejections\":3},\"batcher\":{\"model_evaluat",
+            "ions\":4,\"batch",
             "ed_requests\":9,\"panics\":5,\"batch_sizes\":{\"count\":2,\"sum\":9,\"p50\":1,\"p99",
             "\":8,\"p999\":8,\"",
             "buckets\":{\"le_1\":1,\"le_8\":1}}},\"cache\":{\"hits\":0,\"misses\":0,\"evictions\":7,\"",

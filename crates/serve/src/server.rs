@@ -419,7 +419,12 @@ fn handle_connection(ctx: &Ctx, stream: TcpStream) {
     let outcome = match &result {
         Ok(body) => http::write_response(&stream, 200, body),
         Err((code, msg)) => {
-            ctx.metrics.client_errors.fetch_add(1, Ordering::Relaxed);
+            let class = if *code >= 500 || *code == 408 {
+                &ctx.metrics.server_errors
+            } else {
+                &ctx.metrics.client_errors
+            };
+            class.fetch_add(1, Ordering::Relaxed);
             http::write_error(&stream, *code, msg)
         }
     };
@@ -1345,6 +1350,9 @@ mod tests {
         assert_eq!(get(handle.addr(), "/topk?node=1&k=3"), (200, expected));
         let (_, metrics) = get(handle.addr(), "/metrics");
         assert!(metrics.contains("\"batched_requests\":1,\"panics\":1,"), "{metrics}");
+        let counters = handle.metrics();
+        assert_eq!(counters.server_errors.load(Ordering::Relaxed), 1, "{metrics}");
+        assert_eq!(counters.client_errors.load(Ordering::Relaxed), 0, "{metrics}");
         handle.shutdown();
     }
 }

@@ -25,7 +25,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("planted-partition graph: {} nodes in 4 blocks, {} edges", n, sbm.graph.num_edges());
 
     let transition = TransitionMatrix::from_graph(&sbm.graph);
-    let config = CsrPlusConfig { rank: 12, ..Default::default() };
+    // Why rank 20: the transition matrix has four block singular values
+    // (σ₁..σ₄ = 1.03, 0.90, 0.88, 0.87) and then a flat within-block bulk
+    // (σ₅ = 0.48 down to σ₂₀ = 0.39 and on) with no gap in it: σ₁₂ = 0.415
+    // and σ₁₃ = 0.411 (Jacobi on the dense matrix).  A rank that stops
+    // early in the bulk keeps an arbitrary slice of near-equal directions,
+    // and the top-20 past the clearest block members moves with it.  So
+    // the rank must reach well into the bulk before the top-20 is stable:
+    // recall within the exact top-40 reads 0.885 at rank 12, 0.92 at rank
+    // 16 and 0.95 at rank 20.
+    let config = CsrPlusConfig { rank: 20, ..Default::default() };
     let model = CsrPlusModel::precompute(&transition, &config)?;
 
     let k = 20;
@@ -57,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("precision@{k} vs planted communities: {p_community:.2}");
     println!("recall of approx top-{k} within exact top-{}: {p_exact:.2}", 2 * k);
     assert!(p_community > 0.8, "CoSimRank should recover planted communities (got {p_community})");
-    assert!(p_exact > 0.9, "rank-12 ranking should track exact (got {p_exact})");
+    assert!(p_exact > 0.9, "the rank-20 ranking should track exact (got {p_exact})");
 
     // Show one concrete retrieval.
     let q = sample[0];
