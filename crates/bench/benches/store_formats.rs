@@ -117,6 +117,7 @@ fn main() {
     let v1_file_bytes = std::fs::metadata(&v1_path).expect("v1 file").len();
     let nnz = transition.nnz();
     let mut json = String::from("{\n");
+    let _ = writeln!(json, "  \"env\": {},", csrplus_bench::report::env_json());
     let _ = writeln!(json, "  \"n\": {N},");
     let _ = writeln!(json, "  \"rank\": {RANK},");
     let _ = writeln!(json, "  \"edges\": {nnz},");

@@ -352,12 +352,20 @@ fn usage_flags(sub: &str) -> impl Iterator<Item = &'static str> {
         .filter(|word| word.starts_with("--"))
 }
 
+/// The `idx`-th token that is neither a flag nor a flag's value, so a
+/// path may come after flags (`precompute --rank 3 g.txt`).  Every flag
+/// takes one value except the switches [`USAGE`] writes as `[--flag]`.
 fn positional(rest: &[&String], idx: usize) -> Result<PathBuf, String> {
-    rest.iter()
-        .filter(|a| !a.starts_with("--"))
-        .nth(idx)
-        .map(PathBuf::from)
-        .ok_or_else(|| "missing positional argument".to_string())
+    let mut tokens = rest.iter();
+    let mut found = Vec::new();
+    while let Some(token) = tokens.next() {
+        if !token.starts_with("--") {
+            found.push(token);
+        } else if !USAGE.contains(&format!("[{token}]")) {
+            tokens.next();
+        }
+    }
+    found.get(idx).map(PathBuf::from).ok_or_else(|| "missing positional argument".to_string())
 }
 
 fn flag_value<'a>(rest: &'a [&'a String], name: &str) -> Option<&'a str> {
@@ -593,6 +601,37 @@ mod tests {
     fn generate_defaults_scale_to_test() {
         let cmd = parse(&argv("generate --dataset p2p --out g.txt")).unwrap();
         assert!(matches!(cmd, Command::Generate { scale: Scale::Test, .. }));
+    }
+
+    #[test]
+    fn flag_values_before_the_path_are_not_the_path() {
+        match parse(&argv("precompute --rank 3 fig1.txt --out m.csrp")).unwrap() {
+            Command::Precompute { graph, rank, out, .. } => {
+                assert_eq!(graph, PathBuf::from("fig1.txt"));
+                assert_eq!(rank, 3);
+                assert_eq!(out, PathBuf::from("m.csrp"));
+            }
+            other => panic!("{other:?}"),
+        }
+        match parse(&argv("topk --k 2 m.csrp --node 1")).unwrap() {
+            Command::Topk { model, node, k } => {
+                assert_eq!(model, PathBuf::from("m.csrp"));
+                assert_eq!((node, k), (1, 2));
+            }
+            other => panic!("{other:?}"),
+        }
+        // Switches take no value: the path after one is still the path.
+        match parse(&argv("inspect --verify m.csrp")).unwrap() {
+            Command::Inspect { model, verify } => {
+                assert_eq!(model, PathBuf::from("m.csrp"));
+                assert!(verify);
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(
+            parse(&argv("precompute --rank 3 --out m.csrp")).unwrap_err(),
+            "missing positional argument"
+        );
     }
 
     #[test]

@@ -3,16 +3,19 @@
 use crate::args::{Command, Settings};
 use csrplus_core::topk::select_top_k;
 use csrplus_core::{exact, persist, CsrPlusConfig, CsrPlusModel};
-use csrplus_graph::io::{read_snap_file, write_snap_file};
+use csrplus_graph::io::{read_snap_file, write_snap_file, LoadedGraph};
 use csrplus_graph::partition::{Partitioner, Reordering};
 use csrplus_graph::TransitionMatrix;
 use std::error::Error;
+use std::fmt::Display;
+use std::path::Path;
 use std::time::Instant;
 
 /// Executes a parsed command under the process-level `settings`
 /// (`threads` is already applied to the worker pool).
 pub fn run(cmd: Command, settings: &Settings) -> Result<(), Box<dyn Error>> {
-    let load = |path: &std::path::Path| persist::load_model_with(path, settings.store);
+    let load =
+        |path: &Path| persist::load_model_with(path, settings.store).map_err(|e| named(path, e));
     match cmd {
         Command::Generate { dataset, scale, out } => {
             let t0 = Instant::now();
@@ -29,7 +32,7 @@ pub fn run(cmd: Command, settings: &Settings) -> Result<(), Box<dyn Error>> {
             Ok(())
         }
         Command::Stats { graph } => {
-            let loaded = read_snap_file(&graph)?;
+            let loaded = read_graph(&graph)?;
             let s = loaded.graph.stats();
             let comps = csrplus_graph::components::weakly_connected_components(&loaded.graph);
             println!("nodes            {}", s.nodes);
@@ -49,7 +52,7 @@ pub fn run(cmd: Command, settings: &Settings) -> Result<(), Box<dyn Error>> {
             Ok(())
         }
         Command::Precompute { graph, rank, damping, epsilon, reorder, out } => {
-            let loaded = read_snap_file(&graph)?;
+            let loaded = read_graph(&graph)?;
             let config = CsrPlusConfig {
                 rank,
                 damping,
@@ -209,7 +212,7 @@ pub fn run(cmd: Command, settings: &Settings) -> Result<(), Box<dyn Error>> {
                 // donates the structure.
                 // The dynamic engine rebuilds the factors from the graph so
                 // the boot snapshot (epoch 0) reflects the graph exactly.
-                let loaded = read_snap_file(&graph_path)?;
+                let loaded = read_graph(&graph_path)?;
                 let dyn_config = csrplus_core::dynamic::DynamicConfig {
                     base: *m.config(),
                     // The serving-layer refresh budget governs rebuilds; the
@@ -352,7 +355,9 @@ pub fn run(cmd: Command, settings: &Settings) -> Result<(), Box<dyn Error>> {
             let mut head = [0u8; 8];
             {
                 use std::io::Read;
-                std::fs::File::open(&model)?.read_exact(&mut head)?;
+                std::fs::File::open(&model)
+                    .and_then(|mut f| f.read_exact(&mut head))
+                    .map_err(|e| named(&model, e))?;
             }
             if &head[..4] != b"CSRP" {
                 return Err("not a CSR+ model file (bad magic)".into());
@@ -426,7 +431,7 @@ pub fn run(cmd: Command, settings: &Settings) -> Result<(), Box<dyn Error>> {
             Ok(())
         }
         Command::Exact { graph, nodes, damping, epsilon } => {
-            let loaded = read_snap_file(&graph)?;
+            let loaded = read_graph(&graph)?;
             let transition = TransitionMatrix::from_graph(&loaded.graph);
             for &q in &nodes {
                 if q >= transition.n() {
@@ -449,4 +454,15 @@ pub fn run(cmd: Command, settings: &Settings) -> Result<(), Box<dyn Error>> {
             Ok(())
         }
     }
+}
+
+/// `error` prefixed with the file it concerns, so "No such file or
+/// directory" says which file.
+fn named(path: &Path, error: impl Display) -> String {
+    format!("{}: {error}", path.display())
+}
+
+/// Reads a SNAP edge list, naming the file in any error.
+fn read_graph(path: &Path) -> Result<LoadedGraph, String> {
+    read_snap_file(path).map_err(|e| named(path, e))
 }

@@ -185,8 +185,9 @@ impl CsrPlusModel {
     /// of the three identical columns of `Q`).  The factors of the
     /// standard SVD are therefore swapped here.
     ///
-    /// This entry point also powers [`crate::dynamic`], which maintains
-    /// the SVD incrementally under edge updates.
+    /// [`crate::dynamic`], which maintains the SVD incrementally under
+    /// edge updates, builds through the same lines 3–6 from the Gram it
+    /// carries.
     pub fn from_svd(
         config: &CsrPlusConfig,
         svd: &csrplus_linalg::TruncatedSvd,
@@ -200,15 +201,41 @@ impl CsrPlusModel {
         config: &CsrPlusConfig,
         svd: &csrplus_linalg::TruncatedSvd,
     ) -> Result<(Self, PrecomputeStats), CoSimRankError> {
-        let n = svd.u.rows();
-        let u = svd.v.clone();
-        let v = svd.u.clone();
-        let sigma = svd.sigma.clone();
-
-        // Line 3: H₀ = Vᵀ U Σ = (VᵀU)·Σ — scaling the r×r product by Σ
-        // on the right instead of materialising the n×r `UΣ` intermediate.
         let t1 = std::time::Instant::now();
-        let mut h0 = v.matmul_transpose_a(&u)?;
+        let gram = svd.u.matmul_transpose_a(&svd.v)?;
+        let gram_time = t1.elapsed();
+        let (model, _, mut stats) = Self::from_gram(
+            config,
+            svd.v.clone(),
+            svd.sigma.clone(),
+            &gram,
+            DenseMatrix::zeros(0, 0),
+        )?;
+        stats.subspace += gram_time;
+        Ok((model, stats))
+    }
+
+    /// Lines 3–6 from the Gram `G = U_Qᵀ·V_Q` of a standard-convention
+    /// SVD `Q ≈ U_Q Σ V_Qᵀ`, taking the paper's `U` (which is `V_Q`) by
+    /// value: `H₀ = VᵀUΣ = G·Σ` is then `O(r²)`, so a caller that carries
+    /// `G` through its own updates ([`crate::dynamic`]) never pays the
+    /// `O(nr²)` product.  At f64 storage the model keeps `u` itself; at
+    /// f32 it stores a demoted copy and hands the f64 matrix back.  `Z` is
+    /// written into `z` (reshaped in place; an empty matrix allocates).
+    /// SVD time in the stats is zero.
+    pub(crate) fn from_gram(
+        config: &CsrPlusConfig,
+        u: DenseMatrix,
+        sigma: Vec<f64>,
+        gram: &DenseMatrix,
+        mut z: DenseMatrix,
+    ) -> Result<(Self, Option<DenseMatrix>, PrecomputeStats), CoSimRankError> {
+        let n = u.rows();
+
+        // Line 3: H₀ = Vᵀ U Σ = G·Σ — scaling the r×r product by Σ on the
+        // right instead of materialising the n×r `UΣ` intermediate.
+        let t1 = std::time::Instant::now();
+        let mut h0 = gram.clone();
         h0.scale_columns_mut(&sigma);
 
         // Lines 4–5: repeated squaring for P = c·H P Hᵀ + I_r.
@@ -222,14 +249,17 @@ impl CsrPlusModel {
         let mut sps = p.clone();
         sps.scale_rows_mut(&sigma);
         sps.scale_columns_mut(&sigma);
-        let z = u.matmul(&sps)?;
+        // `matmul_into` writes every element, as `u.matmul(&sps)` would.
+        z.resize_for_overwrite(n, sigma.len());
+        csrplus_linalg::matmul_into(u.view(), sps.view(), z.view_mut(), csrplus_par::threads())?;
         // Storage demotion happens here, *after* the full-precision
         // computation.
-        let (u, z) = match config.precision {
-            Precision::F64 => (Factor::from(u), Factor::from(z)),
+        let (u, z, kept) = match config.precision {
+            Precision::F64 => (Factor::from(u), Factor::from(z), None),
             Precision::F32 => (
                 Factor::from(DenseMatrixF32::from_f64(&u)),
                 Factor::from(DenseMatrixF32::from_f64(&z)),
+                Some(u),
             ),
         };
         let memoise = t2.elapsed();
@@ -240,7 +270,17 @@ impl CsrPlusModel {
             memoise,
             squaring_iterations: iterations,
         };
-        Ok((CsrPlusModel { config: *config, n, u, z, sigma, p, h0, perm: None }, stats))
+        let model = CsrPlusModel { config: *config, n, u, z, sigma, p, h0, perm: None };
+        Ok((model, kept, stats))
+    }
+
+    /// The owned f64 `U` and `Z` storage back, for reuse as buffers;
+    /// `None` for f32 or mapped factors.
+    pub(crate) fn into_f64_factors(self) -> Option<(DenseMatrix, DenseMatrix)> {
+        match (self.u, self.z) {
+            (Factor::Owned(u), Factor::Owned(z)) => Some((u, z)),
+            _ => None,
+        }
     }
 
     /// Reassembles a model from previously memoised parts (used by
@@ -462,9 +502,7 @@ impl CsrPlusModel {
     /// `j` of [`CsrPlusModel::evaluate_into`].  The block is written into
     /// `scratch` (resized in place, reusing its allocation) and only the
     /// output columns are freshly allocated — they are handed off to
-    /// waiting requests, so they cannot be pooled here.  The serving
-    /// batcher keeps one scratch per worker and calls this in its steady
-    /// state.
+    /// waiting requests, so they cannot be pooled here.
     ///
     /// # Errors
     /// [`CoSimRankError::QueryOutOfBounds`] on an invalid node id,
@@ -474,18 +512,34 @@ impl CsrPlusModel {
         query: &Query,
         scratch: &mut DenseMatrix,
     ) -> Result<Vec<Vec<f64>>, CoSimRankError> {
+        self.collect_columns(query, scratch)
+    }
+
+    /// [`CsrPlusModel::columns_into`] into any column container: each
+    /// column is collected straight from the scratch block, one exact-size
+    /// allocation and one write per column.  The serving batcher keeps one
+    /// scratch per worker and collects `Arc<[f64]>` columns, which its
+    /// waiting requests share without another copy.
+    ///
+    /// # Errors
+    /// As [`CsrPlusModel::columns_into`].
+    pub fn collect_columns<C: FromIterator<f64> + Send>(
+        &self,
+        query: &Query,
+        scratch: &mut DenseMatrix,
+    ) -> Result<Vec<C>, CoSimRankError> {
         let (internal, rows) = self.plan(query)?;
         let len = rows.len();
         self.evaluate_internal(&internal, rows, query.rank, scratch)?;
         let w = query.sources.len();
-        match self.perm.as_ref().filter(|_| query.rows.is_none()) {
-            // Gather columns scattering each internal row to its original
-            // id in one pass (no row-scatter intermediate).
-            Some(p) => Self::gather_columns(scratch, len, w, Some(&p.order)),
+        Ok(match self.perm.as_ref().filter(|_| query.rows.is_none()) {
+            // Gather each original id's entry from its internal row, so
+            // the column comes out in original order in one pass.
+            Some(p) => Self::gather_columns(scratch, len, w, Some(&p.rank)),
             // |Q| = 1: the rows × 1 result block already is the column.
-            None if w == 1 => Ok(vec![scratch.as_slice().to_vec()]),
+            None if w == 1 => vec![scratch.as_slice().iter().copied().collect()],
             None => Self::gather_columns(scratch, len, w, None),
-        }
+        })
     }
 
     /// Validates a plan — the row range, then every source node — and
@@ -607,34 +661,28 @@ impl CsrPlusModel {
     }
 
     /// Gathers the `w` columns of the `rows × w` block `s` into owned
-    /// vectors, optionally scattering row `i` to `order[i]`.  The strided
-    /// gather is memory-bound; the query set is split into
-    /// shape-determined blocks over the shared pool.
-    fn gather_columns(
+    /// columns; with `rank`, entry `o` of a column is row `rank[o]` of the
+    /// block.  The strided gather is memory-bound; the query set is split
+    /// into shape-determined blocks over the shared pool.
+    fn gather_columns<C: FromIterator<f64> + Send>(
         s: &DenseMatrix,
         rows: usize,
         w: usize,
-        order: Option<&[u32]>,
-    ) -> Result<Vec<Vec<f64>>, CoSimRankError> {
-        let mut cols: Vec<Vec<f64>> = vec![Vec::new(); w];
+        rank: Option<&[u32]>,
+    ) -> Vec<C> {
+        let mut cols: Vec<Option<C>> = (0..w).map(|_| None).collect();
         let chunk = csrplus_par::chunk_len(w, rows.max(1), MIN_ONLINE_WORK);
         csrplus_par::for_each_chunk_mut(&mut cols, chunk, csrplus_par::threads(), |ci, block| {
             let j0 = ci * chunk;
             for (off, col) in block.iter_mut().enumerate() {
                 let j = j0 + off;
-                match order {
-                    None => *col = (0..rows).map(|i| s.get(i, j)).collect(),
-                    Some(order) => {
-                        let mut v = vec![0.0; rows];
-                        for (i, &orig) in order.iter().enumerate() {
-                            v[orig as usize] = s.get(i, j);
-                        }
-                        *col = v;
-                    }
-                }
+                *col = Some(match rank {
+                    None => (0..rows).map(|i| s.get(i, j)).collect(),
+                    Some(rank) => rank.iter().map(|&i| s.get(i as usize, j)).collect(),
+                });
             }
         });
-        Ok(cols)
+        cols.into_iter().map(|c| c.expect("every column is gathered")).collect()
     }
 
     /// Single-pair similarity `[S]_{a,b} = [a=b] + c·Z[a,:]·U[b,:]ᵀ`.

@@ -67,10 +67,7 @@ impl TruncatedSvd {
     /// — must not see those triples: a single zero column fed into an update
     /// smears non-orthogonality across *all* columns of the rotated basis.
     pub fn trim_null_triples(self, rel_tol: f64) -> TruncatedSvd {
-        let cut = self.sigma.first().copied().unwrap_or(0.0) * rel_tol;
-        // An all-zero spectrum (zero matrix) keeps one triple: rank 0 has no
-        // representation downstream (persisted headers, subspace solves).
-        let keep = self.sigma.iter().filter(|&&s| s > cut).count().max(1).min(self.sigma.len());
+        let keep = non_null_len(&self.sigma, rel_tol);
         if keep == self.sigma.len() {
             self
         } else {
@@ -98,6 +95,15 @@ impl TruncatedSvd {
         }
         worst
     }
+}
+
+/// How many leading triples of the descending spectrum `sigma`
+/// [`TruncatedSvd::trim_null_triples`] keeps: those with σᵢ > σ₁·`rel_tol`.
+/// An all-zero spectrum (zero matrix) keeps one triple: rank 0 has no
+/// representation downstream (persisted headers, subspace solves).
+pub(crate) fn non_null_len(sigma: &[f64], rel_tol: f64) -> usize {
+    let cut = sigma.first().copied().unwrap_or(0.0) * rel_tol;
+    sigma.iter().filter(|&&s| s > cut).count().max(1).min(sigma.len())
 }
 
 /// Maximum number of one-sided Jacobi sweeps.

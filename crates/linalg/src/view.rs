@@ -374,6 +374,20 @@ impl<'a, E: Copy> MatViewMut<'a, E> {
         self.col_stride == 1
     }
 
+    /// A mutable view of the same window for a shorter borrow, so a
+    /// consuming call (`matmul_into`) can write it and the caller keep
+    /// using `self` afterwards.
+    #[inline]
+    pub fn reborrow(&mut self) -> MatViewMut<'_, E> {
+        MatViewMut {
+            data: &mut *self.data,
+            rows: self.rows,
+            cols: self.cols,
+            row_stride: self.row_stride,
+            col_stride: self.col_stride,
+        }
+    }
+
     /// Row `i` as a contiguous mutable slice, when `col_stride == 1`.
     #[inline]
     pub fn row_slice_mut(&mut self, i: usize) -> Option<&mut [E]> {

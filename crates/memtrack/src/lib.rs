@@ -79,6 +79,16 @@ unsafe impl GlobalAlloc for TrackingAllocator {
         p
     }
 
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            count_event();
+            let cur = CURRENT.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
+            PEAK.fetch_max(cur, Ordering::Relaxed);
+        }
+        p
+    }
+
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) };
         CURRENT.fetch_sub(layout.size(), Ordering::Relaxed);

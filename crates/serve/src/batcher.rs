@@ -372,7 +372,8 @@ fn evaluate_group(
     // same dot product the full path computes, so slices concatenate
     // bitwise into the single-process column.
     let query = Query { sources: &nodes, rows: shared.rows.clone(), rank };
-    match model.columns_into(&query, scratch) {
+    // Each column is collected straight into the `Arc` its waiters share.
+    match model.collect_columns::<Column>(&query, scratch) {
         Ok(columns) => {
             shared.metrics.model_evaluations.fetch_add(1, Ordering::Relaxed);
             shared.metrics.batch_sizes.observe(nodes.len() as u64);
@@ -380,8 +381,6 @@ fn evaluate_group(
                 shared.metrics.degraded_requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
                 shared.metrics.served_rank.observe(t.max(1) as u64);
             }
-            let columns: Vec<Column> =
-                columns.into_iter().map(|c| Column::from(c.into_boxed_slice())).collect();
             for (waiter, &i) in batch.iter().zip(&slot) {
                 // A send fails only if the requester already timed out.
                 let _ = waiter.reply.send((waiter.slot, Ok(Arc::clone(&columns[i]))));

@@ -6,8 +6,9 @@
 //!
 //! * **Queries never block on updates.**  Readers `load()` an immutable
 //!   snapshot and keep it for the whole request; the update thread
-//!   mutates its own private model copy and publishes finished versions
-//!   with one pointer swap.
+//!   builds each new model beside the published one and publishes the
+//!   finished version with one pointer swap — the engine's own `Arc`,
+//!   so no factor is copied.
 //! * **Updates are serialised.**  One thread owns the
 //!   [`DynamicCsrPlus`], so rank-one SVD updates, periodic rebuilds and
 //!   checkpoint writes need no locking discipline beyond the channel.
@@ -238,7 +239,7 @@ fn apply_batch(
             *since_rebuild = 0;
             metrics.ingest_rebuilds.fetch_add(1, Ordering::Relaxed);
         }
-        epoch = handle.publish(Arc::new(dynamic.model().clone()));
+        epoch = handle.publish(dynamic.shared_model());
         metrics.ingest_epoch.store(epoch, Ordering::Relaxed);
         metrics.ingest_epochs_published.fetch_add(1, Ordering::Relaxed);
         metrics.ingest_updates_applied.fetch_add(applied as u64, Ordering::Relaxed);
@@ -278,7 +279,7 @@ mod tests {
 
     fn boot() -> (DynamicCsrPlus, Arc<SnapshotHandle>, Arc<Metrics>) {
         let d = dynamic();
-        let handle = Arc::new(SnapshotHandle::new(Arc::new(d.model().clone())));
+        let handle = Arc::new(SnapshotHandle::new(d.shared_model()));
         (d, handle, Arc::new(Metrics::new()))
     }
 

@@ -184,7 +184,7 @@ impl Server {
         config: ServeConfig,
         ingest: IngestConfig,
     ) -> std::io::Result<ServerHandle> {
-        let handle = SnapshotHandle::new(Arc::new(dynamic.model().clone()));
+        let handle = SnapshotHandle::new(dynamic.shared_model());
         Self::boot(handle, port, config, Some((dynamic, ingest)))
     }
 
